@@ -8,9 +8,12 @@
 #   clang-tidy         bugprone/concurrency/performance checks over src/
 #   bench-smoke        Release (-O2) build, every benchmark 1 iteration, all
 #                      self-checking tables must pass, bench JSONs must be
-#                      emitted, tracked top-level BENCH_*.json refreshed; the
-#                      obs-overhead bench must also emit a Perfetto trace that
-#                      parses as JSON and covers the major data-path stages
+#                      emitted under build-release/; the obs-overhead bench
+#                      must also emit a Perfetto trace that parses as JSON
+#                      and covers the major data-path stages
+#   perfbench-smoke    the repo benchmark (perfbench/run.py) on storm_mix and
+#                      sharded_rw untraced, and fe_reads traced (its probes
+#                      drive UdrNf::Process); any non-zero exit fails
 #   asan-ubsan         Debug+ASan/UBSan ctest (-LE slow)
 #   tsan               ThreadSanitizer over the concurrent surface: exec_test,
 #                      obs_test, scenario_smoke, heat_test, migration_test
@@ -212,18 +215,18 @@ assert not missing, f"trace is missing stages: {sorted(missing)}"
 print(f"-- obs trace OK: {len(events)} events, "
       f"{len(names)} distinct span names")
 PYEOF
-# Refresh the tracked top-level copies from the fresh run so they can never
-# drift stale relative to the code (git diff surfaces the delta for review).
-for tracked in BENCH_*.json; do
-  [[ -f "${tracked}" ]] || continue
-  if [[ -s "build-release/${tracked}" ]]; then
-    if ! cmp -s "build-release/${tracked}" "${tracked}"; then
-      echo "-- refreshing tracked ${tracked} from this run"
-      cp "build-release/${tracked}" "${tracked}"
-    fi
-  fi
-done
 echo "== benchmark smoke: all green (bench JSON files emitted) =="
+pass_stage
+
+# ---- perfbench smoke --------------------------------------------------------
+# The repo benchmark must build and pass its own output checks: exit 0 only
+# when every check passed (1 = a failed check, 2 = no result).
+begin_stage "perfbench-smoke"
+for workload in storm_mix sharded_rw; do
+  python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 3 \
+    --trace 0
+done
+python3 perfbench/run.py --workload fe_reads --seed 1 --seconds 3 --trace 1
 pass_stage
 
 # ---- sanitizers -------------------------------------------------------------

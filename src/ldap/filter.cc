@@ -22,9 +22,13 @@ Filter Filter::Present(std::string attr) {
 }
 
 StatusOr<Filter> Filter::Parse(const std::string& text) {
+  if (text.size() > kMaxLength) {
+    return Status::InvalidArgument("filter longer than " +
+                                   std::to_string(kMaxLength) + " bytes");
+  }
   size_t pos = 0;
   std::string_view sv = Trim(text);
-  auto result = ParseInner(sv, &pos);
+  auto result = ParseInner(sv, &pos, 1);
   if (!result.ok()) return result;
   if (pos != sv.size()) {
     return Status::InvalidArgument("trailing characters in filter: " + text);
@@ -32,7 +36,12 @@ StatusOr<Filter> Filter::Parse(const std::string& text) {
   return result;
 }
 
-StatusOr<Filter> Filter::ParseInner(std::string_view text, size_t* pos) {
+StatusOr<Filter> Filter::ParseInner(std::string_view text, size_t* pos,
+                                    int depth) {
+  if (depth > kMaxDepth) {
+    return Status::InvalidArgument("filter nested deeper than " +
+                                   std::to_string(kMaxDepth) + " levels");
+  }
   if (*pos >= text.size() || text[*pos] != '(') {
     return Status::InvalidArgument("expected '(' in filter");
   }
@@ -47,7 +56,7 @@ StatusOr<Filter> Filter::ParseInner(std::string_view text, size_t* pos) {
     f.kind_ = (c == '&') ? Kind::kAnd : Kind::kOr;
     ++*pos;
     while (*pos < text.size() && text[*pos] == '(') {
-      auto child = ParseInner(text, pos);
+      auto child = ParseInner(text, pos, depth + 1);
       if (!child.ok()) return child;
       f.children_.push_back(std::move(child).value());
     }
@@ -57,7 +66,7 @@ StatusOr<Filter> Filter::ParseInner(std::string_view text, size_t* pos) {
   } else if (c == '!') {
     f.kind_ = Kind::kNot;
     ++*pos;
-    auto child = ParseInner(text, pos);
+    auto child = ParseInner(text, pos, depth + 1);
     if (!child.ok()) return child;
     f.children_.push_back(std::move(child).value());
   } else {

@@ -19,6 +19,12 @@ class Filter {
  public:
   enum class Kind { kEquality, kPresence, kGreaterEq, kLessEq, kAnd, kOr, kNot };
 
+  /// Parser bounds: a filter longer than kMaxLength bytes or nested deeper
+  /// than kMaxDepth levels is rejected with InvalidArgument before it can
+  /// exhaust memory or the stack.
+  static constexpr size_t kMaxLength = 16 * 1024;
+  static constexpr int kMaxDepth = 64;
+
   /// Parses a filter string like "(&(msisdn=+34600)(barred=false))".
   static StatusOr<Filter> Parse(const std::string& text);
 
@@ -43,7 +49,8 @@ class Filter {
  private:
   Filter() = default;
 
-  static StatusOr<Filter> ParseInner(std::string_view text, size_t* pos);
+  static StatusOr<Filter> ParseInner(std::string_view text, size_t* pos,
+                                     int depth);
 
   Kind kind_ = Kind::kPresence;
   std::string attr_;

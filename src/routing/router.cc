@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "replication/write_builder.h"
@@ -240,35 +239,15 @@ RouteResult Router::ResolveOne(const Identity& id, sim::SiteId poa_site,
 
 RouteResult Router::Route(const Identity& id, sim::SiteId poa_site,
                           RouteIntent intent) {
-  BatchRequest one;
-  one.Add(intent == RouteIntent::kRead ? Operation::ReadRecord(id)
-                                       : Operation::Write(id, {}));
-  return ResolveStage(one, poa_site, nullptr).front();
-}
-
-std::vector<RouteResult> Router::ResolveStage(const BatchRequest& batch,
-                                              sim::SiteId poa_site,
-                                              BatchResult* result) {
-  std::vector<RouteResult> routes;
-  routes.reserve(batch.ops.size());
-  for (const Operation& op : batch.ops) {
-    RouteResult r = ResolveOne(op.identity, poa_site, op.IsRead());
-    if (result != nullptr) {
-      result->resolve_cost += r.resolve_cost;
-      if (r.bypassed_location) ++result->bypass_hits;
-    }
-    routes.push_back(std::move(r));
-  }
-  return routes;
+  return ResolveOne(id, poa_site, intent == RouteIntent::kRead);
 }
 
 MicroDuration Router::DispatchGroup(const BatchRequest& batch,
-                                    const std::vector<RouteResult>& routes,
-                                    const std::vector<size_t>& members,
+                                    uint32_t partition, size_t first,
                                     sim::SiteId poa_site, BatchResult* result,
                                     const obs::TraceContext& span_parent,
                                     MicroTime dispatch_start) {
-  replication::ReplicaSet* rs = routes[members.front()].rs;
+  replication::ReplicaSet* rs = map_->partition(partition);
   PoaCache* cache = poa_cache_at(poa_site);
   // The whole group ships to its replica set as one message: runs within it
   // execute in order, but their transits overlap in a single round-trip
@@ -283,10 +262,11 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
   MicroTime span_cursor = dispatch_start;
 
   // Pending run of consecutive same-kind ops (one grouped dispatch each).
+  // A kind switch flushes the other run first, so at most one run is
+  // pending and one index list serves both.
   std::vector<std::vector<storage::WriteOp>> write_txns;
-  std::vector<size_t> write_idx;
   std::vector<replication::BatchReadOp> read_ops;
-  std::vector<size_t> read_idx;
+  std::vector<size_t> run_idx;
 
   auto flush_writes = [&]() {
     if (write_txns.empty()) return;
@@ -300,18 +280,18 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
     }
     span_cursor += gw.latency - gw.transit;
     for (size_t j = 0; j < gw.per_op.size(); ++j) {
-      OpOutcome& o = result->outcomes[write_idx[j]];
-      o.status = gw.per_op[j].status;
+      OpOutcome& o = result->outcomes[run_idx[j]];
+      o.status = std::move(gw.per_op[j].status);
       o.latency = gw.per_op[j].latency;
       o.seq = gw.per_op[j].seq;
       o.served_by = gw.per_op[j].served_by;
       if (!o.status.ok()) ++result->failed_ops;
       // Synchronous invalidation: a committed write must never leave a
       // cached copy behind, at this PoA or any other.
-      if (o.status.ok()) InvalidateCached(routes[write_idx[j]].key);
+      if (o.status.ok()) InvalidateCached(o.key);
     }
     write_txns.clear();
-    write_idx.clear();
+    run_idx.clear();
   };
   auto flush_reads = [&]() {
     if (read_ops.empty()) return;
@@ -324,13 +304,13 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
     }
     span_cursor += gr.latency - gr.transit;
     for (size_t j = 0; j < gr.per_op.size(); ++j) {
-      const size_t idx = read_idx[j];
+      const size_t idx = run_idx[j];
       OpOutcome& o = result->outcomes[idx];
-      o.status = gr.per_op[j].status;
+      o.status = std::move(gr.per_op[j].status);
       o.latency = gr.per_op[j].latency;
       o.stale = gr.per_op[j].stale;
       o.served_by = gr.per_op[j].served_by;
-      o.value = gr.per_op[j].value;
+      o.value = std::move(gr.per_op[j].value);
       o.record = std::move(gr.records[j]);
       if (!o.status.ok()) ++result->failed_ops;
       // Read-through population: a fresh whole-record read of a hot key
@@ -338,18 +318,22 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
       if (cache != nullptr && o.ok() && !o.stale && o.record.has_value() &&
           batch.ops[idx].kind == Operation::Kind::kReadRecord &&
           batch.ops[idx].read_pref == replication::ReadPreference::kNearest) {
-        CachePopulate(routes[idx].key, routes[idx].partition, poa_site,
-                      *o.record, o.stale);
+        CachePopulate(o.key, o.partition, poa_site, *o.record, o.stale);
       }
     }
     read_ops.clear();
-    read_idx.clear();
+    run_idx.clear();
   };
 
   // Walk the group's ops in request order; consecutive writes commit as one
   // log-append window, consecutive reads probe as one fan-out. A kind switch
   // flushes the pending run first, preserving per-key op order.
-  for (size_t i : members) {
+  // Ops ahead of the cursor still carry their resolution outcome (dispatch
+  // only writes outcomes at or behind it), so the filter picks exactly this
+  // partition's resolved ops.
+  for (size_t i = first; i < batch.ops.size(); ++i) {
+    OpOutcome& o = result->outcomes[i];
+    if (!o.ok() || o.partition != partition) continue;
     const Operation& op = batch.ops[i];
     if (op.kind == Operation::Kind::kWrite) {
       flush_reads();
@@ -357,35 +341,35 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
       for (const Mutation& m : op.mutations) {
         switch (m.kind) {
           case Mutation::Kind::kSet:
-            wb.Set(routes[i].key, m.attr, m.value);
+            wb.Set(o.key, m.attr, m.value);
             break;
           case Mutation::Kind::kRemove:
-            wb.Remove(routes[i].key, m.attr);
+            wb.Remove(o.key, m.attr);
             break;
           case Mutation::Kind::kDeleteRecord:
-            wb.Delete(routes[i].key);
+            wb.Delete(o.key);
             break;
         }
       }
       write_txns.push_back(std::move(wb).Build());
-      write_idx.push_back(i);
+      run_idx.push_back(i);
     } else {
       // Flushing pending writes FIRST both preserves per-key order and makes
       // the cache check below read-your-writes safe: any earlier write of
       // this batch has already committed and invalidated its key.
       flush_writes();
-      if (TryServeFromCache(op, routes[i], cache, &result->outcomes[i])) {
+      if (TryServeFromCache(op, cache, &o)) {
         cache_cost += cache->hit_cost();
         ++result->cache_hits;
-        if (!result->outcomes[i].ok()) ++result->failed_ops;
+        if (!o.ok()) ++result->failed_ops;
         continue;
       }
       replication::BatchReadOp ro;
-      ro.key = routes[i].key;
+      ro.key = o.key;
       if (op.kind == Operation::Kind::kReadAttribute) ro.attr = op.attr;
       ro.pref = op.read_pref;
       read_ops.push_back(std::move(ro));
-      read_idx.push_back(i);
+      run_idx.push_back(i);
     }
   }
   flush_writes();
@@ -393,14 +377,14 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
   return window_transit + service_total + cache_cost;
 }
 
-bool Router::TryServeFromCache(const Operation& op, const RouteResult& route,
-                               PoaCache* cache, OpOutcome* out) {
+bool Router::TryServeFromCache(const Operation& op, PoaCache* cache,
+                               OpOutcome* out) {
   if (cache == nullptr || op.kind == Operation::Kind::kWrite) return false;
   // Policy boundary: only kNearest reads are cache-eligible. Master-only
   // reads (provisioning, delete preconditions) always see the primary.
   if (op.read_pref != replication::ReadPreference::kNearest) return false;
   const storage::Record* rec = cache->Lookup(
-      route.key, route.partition, partition_epoch(route.partition));
+      out->key, out->partition, partition_epoch(out->partition));
   if (rec == nullptr) {
     cache_misses_.Add();
     return false;
@@ -440,44 +424,50 @@ BatchResult Router::RouteBatch(const BatchRequest& batch,
   obs::Span batch_span = obs::StartSpan(tracer_, "route.batch", batch.trace);
   const obs::TraceContext batch_ctx = batch_span.context();
 
-  // Stage 1: resolve every identity at the PoA (or via the hash bypass).
-  std::vector<RouteResult> routes = ResolveStage(batch, poa_site, &result);
-  if (tracer_ != nullptr) {
-    tracer_->RecordSpan("resolve", batch_ctx, t0, t0 + result.resolve_cost);
-  }
-
-  // Stage 2: group resolved ops by owning partition, keeping request order
-  // inside each group (stable grouping = per-key order preserved).
-  std::vector<std::pair<uint32_t, std::vector<size_t>>> groups;
-  std::unordered_map<uint32_t, size_t> group_of;
-  for (size_t i = 0; i < routes.size(); ++i) {
+  // Stage 1: resolve every identity at the PoA (or via the hash bypass)
+  // into its op's outcome. Stage 2: group the resolved ops by owning
+  // partition. A group is its partition plus its first op; the dispatch
+  // walks the ops from there in request order (stable grouping = per-key
+  // order preserved). A batch touches few partitions, so a linear scan
+  // beats a map of member lists.
+  std::vector<std::pair<uint32_t, size_t>> groups;  // {partition, first op}
+  for (size_t i = 0; i < batch.ops.size(); ++i) {
+    const Operation& op = batch.ops[i];
+    RouteResult route = ResolveOne(op.identity, poa_site, op.IsRead());
+    result.resolve_cost += route.resolve_cost;
     OpOutcome& o = result.outcomes[i];
-    o.bypassed_location = routes[i].bypassed_location;
-    if (!routes[i].status.ok()) {
+    o.bypassed_location = route.bypassed_location;
+    if (route.bypassed_location) ++result.bypass_hits;
+    if (!route.status.ok()) {
       // Per-op isolation: a failed resolution fails this op only.
-      o.status = routes[i].status;
+      o.status = std::move(route.status);
       ++result.failed_ops;
       continue;
     }
-    o.partition = routes[i].partition;
-    o.key = routes[i].key;
-    auto [it, fresh] = group_of.try_emplace(routes[i].partition, groups.size());
-    if (fresh) groups.push_back({routes[i].partition, {}});
-    groups[it->second].second.push_back(i);
+    o.partition = route.partition;
+    o.key = route.key;
+    if (std::none_of(groups.begin(), groups.end(), [&](const auto& g) {
+          return g.first == route.partition;
+        })) {
+      groups.emplace_back(route.partition, i);
+    }
   }
   result.partition_groups = static_cast<int>(groups.size());
+  if (tracer_ != nullptr) {
+    tracer_->RecordSpan("resolve", batch_ctx, t0, t0 + result.resolve_cost);
+  }
 
   // Stage 3: one grouped dispatch per replica set; groups fan out
   // concurrently from the PoA, so the batch pays the slowest one.
   const MicroTime dispatch_start = t0 + result.resolve_cost;
   MicroDuration slowest_group = 0;
-  for (const auto& [partition, members] : groups) {
+  for (const auto& [partition, first] : groups) {
     obs::Span dispatch_span =
         tracer_ != nullptr
             ? tracer_->StartSpanAt("dispatch", batch_ctx, dispatch_start)
             : obs::Span();
     const MicroDuration group_latency =
-        DispatchGroup(batch, routes, members, poa_site, &result,
+        DispatchGroup(batch, partition, first, poa_site, &result,
                       dispatch_span.context(), dispatch_start);
     dispatch_span.EndAt(dispatch_start + group_latency);
     slowest_group = std::max(slowest_group, group_latency);

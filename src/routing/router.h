@@ -140,8 +140,8 @@ class Router {
                                     sim::SiteId poa_site);
 
   /// Full data-path hop: identity -> location entry -> owning replica set.
-  /// A thin wrapper over the resolution stage of a size-1 batch; reads may
-  /// take the hash bypass when it is enabled.
+  /// The same resolution RouteBatch runs per op; reads may take the hash
+  /// bypass when it is enabled.
   RouteResult Route(const location::Identity& id, sim::SiteId poa_site,
                     RouteIntent intent = RouteIntent::kWrite);
 
@@ -164,14 +164,6 @@ class Router {
     bypass_exceptions_.erase(id);
   }
   size_t bypass_exception_count() const { return bypass_exceptions_.size(); }
-
-  /// Stage 1 of the pipeline: resolves every op of the batch at the location
-  /// stage local to `poa_site` (or via the hash bypass for eligible reads).
-  /// Returns one RouteResult per op and accounts resolution cost and bypass
-  /// hits into `result` when non-null.
-  std::vector<RouteResult> ResolveStage(const BatchRequest& batch,
-                                        sim::SiteId poa_site,
-                                        BatchResult* result);
 
   /// The staged batch pipeline: (1) resolve all identities at the PoA,
   /// (2) group ops by owning partition, (3) dispatch one grouped
@@ -247,20 +239,21 @@ class Router {
   RouteResult ResolveOne(const location::Identity& id, sim::SiteId poa_site,
                          bool read_intent);
 
-  /// Stage 3 helper: dispatches one partition-group, walking its ops in
-  /// request order and flushing consecutive same-kind runs as one grouped
+  /// Stage 3 helper: dispatches one partition-group — every resolved op on
+  /// `partition`, from its first op `first` on — walking its ops in request
+  /// order and flushing consecutive same-kind runs as one grouped
   /// ReplicaSet call. Returns the group's modelled latency.
   MicroDuration DispatchGroup(const BatchRequest& batch,
-                              const std::vector<RouteResult>& routes,
-                              const std::vector<size_t>& members,
+                              uint32_t partition, size_t first,
                               sim::SiteId poa_site, BatchResult* result,
                               const obs::TraceContext& span_parent,
                               MicroTime dispatch_start);
 
   /// Serves one read op from `cache` when possible (same status/value
   /// semantics as the replica-set read path). Returns false on miss.
-  bool TryServeFromCache(const Operation& op, const RouteResult& route,
-                         PoaCache* cache, OpOutcome* out);
+  /// `out` carries the op's resolved key and partition.
+  bool TryServeFromCache(const Operation& op, PoaCache* cache,
+                         OpOutcome* out);
 
   PartitionMap* map_;
   sim::Network* network_;

@@ -1,7 +1,6 @@
 #include "udr/udr_nf.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "ldap/filter.h"
 #include "replication/write_builder.h"
@@ -19,7 +18,6 @@ using location::LocationEntry;
 using replication::ReadPreference;
 using replication::ReplicaSet;
 using replication::WriteBuilder;
-using routing::RouteResult;
 using storage::Record;
 
 namespace {
@@ -42,6 +40,16 @@ routing::PartitionMapConfig MapConfigFrom(const UdrConfig& config) {
 UdrNf::UdrNf(UdrConfig config, sim::Network* network)
     : config_(std::move(config)),
       network_(network),
+      batch_count_(metrics_.RegisterCounter("udr.batch.count")),
+      batch_ops_(metrics_.RegisterCounter("udr.batch.ops")),
+      batch_failed_ops_(metrics_.RegisterCounter("udr.batch.failed_ops")),
+      search_ok_(metrics_.RegisterCounter("udr.search.ok")),
+      modify_ok_(metrics_.RegisterCounter("udr.modify.ok")),
+      modify_failed_(metrics_.RegisterCounter("udr.modify.failed")),
+      delete_ok_(metrics_.RegisterCounter("udr.delete.ok")),
+      submit_ok_(metrics_.RegisterCounter("udr.submit.ok")),
+      submit_failed_(metrics_.RegisterCounter("udr.submit.failed")),
+      submit_unavailable_(metrics_.RegisterCounter("udr.submit.unavailable")),
       map_(MapConfigFrom(config_), network),
       router_(&map_, network, &metrics_),
       placement_(routing::MakePlacementPolicy(config_.placement)),
@@ -674,7 +682,7 @@ Status UdrNf::DeleteSubscriber(const Identity& id, sim::SiteId origin_site) {
   router_.Unbind(id);  // Defensive: DN identity may not appear in attrs.
   map_.AddPopulation(entry.partition, -1);
   --subscriber_count_;
-  metrics_.Add("udr.delete.ok");
+  delete_ok_.Add();
   return Status::Ok();
 }
 
@@ -689,7 +697,7 @@ LdapResult UdrNf::Submit(const LdapRequest& request, sim::SiteId client_site) {
     r.code = LdapResultCode::kUnavailable;
     r.diagnostic = poa.status().message();
     r.latency = network_->rpc_timeout();
-    metrics_.Add("udr.submit.unavailable");
+    submit_unavailable_.Add();
     return r;
   }
   BladeCluster* cluster = clusters_[*poa].get();
@@ -697,7 +705,7 @@ LdapResult UdrNf::Submit(const LdapRequest& request, sim::SiteId client_site) {
   // Client <-> PoA leg (LAN when the client is co-located, §3.3.2 measure 1).
   result.latency += network_->topology().Rtt(client_site, cluster->site()) +
                     network_->topology().HopOverhead();
-  metrics_.Add(result.ok() ? "udr.submit.ok" : "udr.submit.failed");
+  (result.ok() ? submit_ok_ : submit_failed_).Add();
   return result;
 }
 
@@ -734,41 +742,8 @@ ReadPreference UdrNf::ReadPrefFor(const LdapRequest& request) const {
   return ReadPreference::kNearest;
 }
 
-LdapResult UdrNf::Process(const LdapRequest& request, uint32_t poa_site) {
-  migration_->OnForegroundOps(1);
-  auto dispatch = [&]() -> LdapResult {
-    switch (request.op) {
-      case ldap::LdapOp::kSearch:
-        return DoSearch(request, poa_site);
-      case ldap::LdapOp::kAdd:
-        return DoAdd(request, poa_site);
-      case ldap::LdapOp::kModify:
-        return DoModify(request, poa_site);
-      case ldap::LdapOp::kDelete:
-        return DoDelete(request, poa_site);
-      case ldap::LdapOp::kCompare:
-        return DoCompare(request, poa_site);
-    }
-    LdapResult r;
-    r.code = LdapResultCode::kProtocolError;
-    r.diagnostic = "unsupported operation";
-    return r;
-  };
-  LdapResult result = dispatch();
-  // Root "event" span for the single-op path, spanning the op's whole
-  // modelled latency — unbatched deployments trace their signaling events
-  // too (the batched path opens its root in ProcessBatch instead).
-  if (tracer_ != nullptr) {
-    const obs::TraceContext trace = tracer_->StartTrace();
-    if (trace.active()) {
-      tracer_->RecordSpan("event", trace, Now(), Now() + result.latency);
-    }
-  }
-  return result;
-}
-
 LdapResult UdrNf::SearchResultFor(const LdapRequest& request,
-                                  const storage::Record& record) const {
+                                  storage::Record&& record) const {
   LdapResult r;
   auto filter = ldap::Filter::Parse(request.filter);
   if (!filter.ok()) {
@@ -784,7 +759,7 @@ LdapResult UdrNf::SearchResultFor(const LdapRequest& request,
     ldap::SearchEntry entry;
     entry.dn = request.dn;
     if (request.requested_attrs.empty()) {
-      entry.record = record;
+      entry.record = std::move(record);
     } else {
       for (const std::string& attr : request.requested_attrs) {
         const storage::Attribute* a = record.Find(attr);
@@ -796,40 +771,6 @@ LdapResult UdrNf::SearchResultFor(const LdapRequest& request,
     r.entries.push_back(std::move(entry));
   }
   r.code = LdapResultCode::kSuccess;
-  return r;
-}
-
-LdapResult UdrNf::DoSearch(const LdapRequest& request, uint32_t poa_site) {
-  LdapResult r;
-  auto identity = RequestIdentity(request);
-  if (!identity.ok()) {
-    r.code = StatusToLdapCode(identity.status());
-    r.diagnostic = identity.status().message();
-    return r;
-  }
-  RouteResult route =
-      router_.Route(*identity, poa_site, routing::RouteIntent::kRead);
-  r.latency += route.resolve_cost;
-  if (!route.status.ok()) {
-    r.code = StatusToLdapCode(route.status);
-    r.diagnostic = route.status.message();
-    return r;
-  }
-  replication::ReadResult meta;
-  auto record =
-      route.rs->ReadRecord(poa_site, route.key, ReadPrefFor(request), &meta);
-  if (!record.ok()) {
-    r.latency += meta.latency;
-    r.stale = meta.stale;
-    r.code = StatusToLdapCode(record.status());
-    r.diagnostic = record.status().message();
-    return r;
-  }
-  MicroDuration resolve_and_read = r.latency + meta.latency;
-  r = SearchResultFor(request, *record);
-  r.latency += resolve_and_read;
-  r.stale = meta.stale;
-  if (r.ok()) metrics_.Add("udr.search.ok");
   return r;
 }
 
@@ -894,119 +835,8 @@ StatusOr<std::vector<routing::Mutation>> UdrNf::MutationsFrom(
   return muts;
 }
 
-LdapResult UdrNf::DoModify(const LdapRequest& request, uint32_t poa_site) {
-  LdapResult r;
-  auto identity = RequestIdentity(request);
-  if (!identity.ok()) {
-    r.code = StatusToLdapCode(identity.status());
-    r.diagnostic = identity.status().message();
-    return r;
-  }
-  auto muts = MutationsFrom(request);
-  if (!muts.ok()) {
-    r.code = StatusToLdapCode(muts.status());
-    r.diagnostic = muts.status().message();
-    return r;
-  }
-  RouteResult route = router_.Route(*identity, poa_site);
-  r.latency += route.resolve_cost;
-  if (!route.status.ok()) {
-    r.code = StatusToLdapCode(route.status);
-    r.diagnostic = route.status.message();
-    return r;
-  }
-  WriteBuilder wb;
-  for (const routing::Mutation& m : *muts) {
-    switch (m.kind) {
-      case routing::Mutation::Kind::kSet:
-        wb.Set(route.key, m.attr, m.value);
-        break;
-      case routing::Mutation::Kind::kRemove:
-        wb.Remove(route.key, m.attr);
-        break;
-      case routing::Mutation::Kind::kDeleteRecord:
-        wb.Delete(route.key);
-        break;
-    }
-  }
-  replication::WriteResult write =
-      route.rs->Write(poa_site, std::move(wb).Build());
-  r.latency += write.latency;
-  if (!write.status.ok()) {
-    r.code = StatusToLdapCode(write.status);
-    r.diagnostic = write.status.message();
-    metrics_.Add("udr.modify.failed");
-    return r;
-  }
-  // Same synchronous invalidation the batched write path does in its flush:
-  // a committed write must never leave a stale PoA-cached copy behind.
-  router_.InvalidateCached(route.key);
-  r.code = LdapResultCode::kSuccess;
-  metrics_.Add("udr.modify.ok");
-  return r;
-}
-
-LdapResult UdrNf::DoDelete(const LdapRequest& request, uint32_t poa_site) {
-  LdapResult r;
-  auto identity = RequestIdentity(request);
-  if (!identity.ok()) {
-    r.code = StatusToLdapCode(identity.status());
-    r.diagnostic = identity.status().message();
-    return r;
-  }
-  RouteResult route = router_.Route(*identity, poa_site);
-  r.latency += route.resolve_cost;
-  if (!route.status.ok()) {
-    r.code = StatusToLdapCode(route.status);
-    r.diagnostic = route.status.message();
-    return r;
-  }
-  Status st = DeleteSubscriber(*identity, poa_site);
-  if (!st.ok()) {
-    r.code = StatusToLdapCode(st);
-    r.diagnostic = st.message();
-    return r;
-  }
-  // Latency: one master read + one replicated delete, both at the partition.
-  r.latency += network_->topology().Rtt(poa_site, route.rs->master_site()) +
-               config_.se_template.write_service_time;
-  r.code = LdapResultCode::kSuccess;
-  return r;
-}
-
-LdapResult UdrNf::DoCompare(const LdapRequest& request, uint32_t poa_site) {
-  LdapResult r;
-  auto identity = RequestIdentity(request);
-  if (!identity.ok()) {
-    r.code = StatusToLdapCode(identity.status());
-    r.diagnostic = identity.status().message();
-    return r;
-  }
-  RouteResult route =
-      router_.Route(*identity, poa_site, routing::RouteIntent::kRead);
-  r.latency += route.resolve_cost;
-  if (!route.status.ok()) {
-    r.code = StatusToLdapCode(route.status);
-    r.diagnostic = route.status.message();
-    return r;
-  }
-  replication::ReadResult read = route.rs->ReadAttribute(
-      poa_site, route.key, request.compare_attr, ReadPrefFor(request));
-  r.latency += read.latency;
-  r.stale = read.stale;
-  if (!read.status.ok()) {
-    r.code = StatusToLdapCode(read.status);
-    r.diagnostic = read.status.message();
-    return r;
-  }
-  r.code = storage::ValueToString(*read.value) == request.compare_value
-               ? LdapResultCode::kCompareTrue
-               : LdapResultCode::kCompareFalse;
-  return r;
-}
-
 // ---------------------------------------------------------------------------
-// Batched data path (multi-op LDAP messages)
+// LDAP data path: one staged pipeline; a lone op is a batch of one
 // ---------------------------------------------------------------------------
 
 StatusOr<routing::Operation> UdrNf::OperationFrom(
@@ -1032,12 +862,12 @@ StatusOr<routing::Operation> UdrNf::OperationFrom(
 }
 
 LdapResult UdrNf::ResultFromOutcome(const LdapRequest& request,
-                                    const routing::OpOutcome& outcome) {
+                                    routing::OpOutcome& outcome) {
   LdapResult r;
   r.latency = outcome.latency;
   r.stale = outcome.stale;
   if (!outcome.ok()) {
-    if (request.op == ldap::LdapOp::kModify) metrics_.Add("udr.modify.failed");
+    if (request.op == ldap::LdapOp::kModify) modify_failed_.Add();
     r.code = StatusToLdapCode(outcome.status);
     r.diagnostic = outcome.status.message();
     return r;
@@ -1049,11 +879,10 @@ LdapResult UdrNf::ResultFromOutcome(const LdapRequest& request,
         r.diagnostic = "record missing from batch outcome";
         return r;
       }
-      MicroDuration latency = r.latency;
-      r = SearchResultFor(request, *outcome.record);
-      r.latency = latency;
+      r = SearchResultFor(request, *std::move(outcome.record));
+      r.latency = outcome.latency;
       r.stale = outcome.stale;
-      if (r.ok()) metrics_.Add("udr.search.ok");
+      if (r.ok()) search_ok_.Add();
       return r;
     }
     case ldap::LdapOp::kCompare:
@@ -1065,7 +894,7 @@ LdapResult UdrNf::ResultFromOutcome(const LdapRequest& request,
       return r;
     case ldap::LdapOp::kModify:
       r.code = LdapResultCode::kSuccess;
-      metrics_.Add("udr.modify.ok");
+      modify_ok_.Add();
       return r;
     default:
       r.code = LdapResultCode::kOperationsError;
@@ -1097,15 +926,27 @@ ldap::LdapResult UdrNf::FinishBatchedDelete(const Identity& id,
   router_.Unbind(id);
   map_.AddPopulation(write.partition, -1);
   --subscriber_count_;
-  metrics_.Add("udr.delete.ok");
+  delete_ok_.Add();
   r.code = LdapResultCode::kSuccess;
   return r;
 }
 
-template <typename InlineExec>
+LdapResult UdrNf::FinishSlot(const LdapRequest& request, RequestSlot& slot,
+                             std::vector<routing::OpOutcome>& outcomes) {
+  switch (slot.kind) {
+    case RequestSlot::Kind::kPipeline:
+      return ResultFromOutcome(request, outcomes[slot.op]);
+    case RequestSlot::Kind::kDelete:
+      return FinishBatchedDelete(slot.identity, outcomes[slot.op],
+                                 outcomes[slot.write_op]);
+    case RequestSlot::Kind::kInline:
+      break;
+  }
+  return std::move(slot.inline_result);
+}
+
 UdrNf::RequestSlot UdrNf::SlotFor(const LdapRequest& request,
-                                  routing::BatchRequest* batch,
-                                  InlineExec&& inline_exec) {
+                                  routing::BatchRequest* batch) const {
   RequestSlot slot;
   switch (request.op) {
     case ldap::LdapOp::kSearch:
@@ -1144,18 +985,45 @@ UdrNf::RequestSlot UdrNf::SlotFor(const LdapRequest& request,
           {{routing::Mutation::Kind::kDeleteRecord, "", storage::Value{}}}));
       return slot;
     }
-    default:
-      // Add (and anything unknown) carries placement side effects the
-      // pipeline does not model; the caller decides when it executes.
-      slot.inline_result = inline_exec(request);
+    case ldap::LdapOp::kAdd:
+      // Add carries placement side effects the pipeline does not model: the
+      // caller flushes the pending run and executes it in place (DoAdd).
       return slot;
   }
+  slot.inline_result.code = LdapResultCode::kProtocolError;
+  slot.inline_result.diagnostic = "unsupported operation";
+  return slot;
+}
+
+void UdrNf::CountEvent(const LdapBatchResult& out) {
+  const auto ops = static_cast<int64_t>(out.results.size());
+  batch_count_.Add();
+  batch_ops_.Add(ops);
+  const int failed = out.failed_ops();
+  if (failed > 0) batch_failed_ops_.Add(failed);
+  // Priority coupling: foreground ops displace migration budget from the
+  // scheduler's pacing window (no-op unless the knob is configured).
+  migration_->OnForegroundOps(ops);
+}
+
+LdapResult UdrNf::Process(const LdapRequest& request, uint32_t poa_site) {
+  // A lone op is a batch of one; its client-observed latency is the whole
+  // message's (the per-result latency is only the op's service share).
+  LdapBatchResult out = RunEvent(&request, 1, poa_site);
+  LdapResult result = std::move(out.results.front());
+  result.latency = out.latency;
+  return result;
 }
 
 ldap::LdapBatchResult UdrNf::ProcessBatch(
     const std::vector<LdapRequest>& requests, uint32_t poa_site) {
-  ldap::LdapBatchResult out;
-  out.results.resize(requests.size());
+  return RunEvent(requests.data(), requests.size(), poa_site);
+}
+
+ldap::LdapBatchResult UdrNf::RunEvent(const LdapRequest* requests, size_t n,
+                                      uint32_t poa_site) {
+  LdapBatchResult out;
+  out.results.resize(n);
 
   // One trace per signaling event; the root "event" span covers the whole
   // modelled latency and the pipeline spans hang off it.
@@ -1167,7 +1035,7 @@ ldap::LdapBatchResult UdrNf::ProcessBatch(
     batch.trace = event_span.context();
   }
   std::vector<std::pair<size_t, RequestSlot>> slots;  // request idx -> slot.
-  int64_t pipeline_requests = 0;  // Inline ops count via Process() instead.
+  slots.reserve(n);
   auto flush = [&]() {
     if (batch.empty()) return;
     routing::BatchResult br = router_.RouteBatch(batch, poa_site);
@@ -1175,43 +1043,29 @@ ldap::LdapBatchResult UdrNf::ProcessBatch(
     out.partition_groups += br.partition_groups;
     out.bypass_hits += br.bypass_hits;
     for (auto& [idx, slot] : slots) {
-      out.results[idx] =
-          slot.kind == RequestSlot::Kind::kDelete
-              ? FinishBatchedDelete(slot.identity, br.outcomes[slot.op],
-                                    br.outcomes[slot.write_op])
-              : ResultFromOutcome(requests[idx], br.outcomes[slot.op]);
+      out.results[idx] = FinishSlot(requests[idx], slot, br.outcomes);
     }
     batch.ops.clear();
     slots.clear();
   };
 
-  for (size_t i = 0; i < requests.size(); ++i) {
-    bool executed_inline = false;
-    RequestSlot slot = SlotFor(requests[i], &batch,
-                               [&](const LdapRequest& req) {
-                                 // Flush the pending run so per-key order
-                                 // holds, then execute in place.
-                                 flush();
-                                 executed_inline = true;
-                                 return Process(req, poa_site);
-                               });
-    if (slot.kind == RequestSlot::Kind::kInline) {
-      if (executed_inline) out.latency += slot.inline_result.latency;
-      out.results[i] = std::move(slot.inline_result);
-    } else {
-      ++pipeline_requests;
+  for (size_t i = 0; i < n; ++i) {
+    RequestSlot slot = SlotFor(requests[i], &batch);
+    if (slot.kind != RequestSlot::Kind::kInline) {
       slots.emplace_back(i, std::move(slot));
+      continue;
     }
+    if (requests[i].op == ldap::LdapOp::kAdd) {
+      // Flush the pending run so per-key order holds, then execute in place.
+      flush();
+      slot.inline_result = DoAdd(requests[i], poa_site);
+    }
+    out.latency += slot.inline_result.latency;
+    out.results[i] = std::move(slot.inline_result);
   }
   flush();
   event_span.EndAt(event_start + out.latency);
-
-  metrics_.Add("udr.batch.count");
-  metrics_.Add("udr.batch.ops", static_cast<int64_t>(requests.size()));
-  if (!out.ok()) metrics_.Add("udr.batch.failed_ops", out.failed_ops());
-  // Priority coupling: foreground ops displace migration budget from the
-  // scheduler's pacing window (no-op unless the knob is configured).
-  migration_->OnForegroundOps(pipeline_requests);
+  CountEvent(out);
   return out;
 }
 
@@ -1252,13 +1106,9 @@ uint64_t UdrNf::EnqueueBatch(const std::vector<LdapRequest>& requests,
   routing::BatchRequest batch;
   event.slots.reserve(requests.size());
   for (const LdapRequest& req : requests) {
-    event.slots.push_back(SlotFor(req, &batch, [&](const LdapRequest& r) {
-      // Unreachable for Add (handled above); anything else landing here is
-      // an unsupported verb whose error resolves at enqueue.
-      LdapResult res = Process(r, poa_site);
-      event.inline_latency += res.latency;
-      return res;
-    }));
+    // Adds were handled above: every kInline slot here is a request that
+    // failed translation, with its error result already final.
+    event.slots.push_back(SlotFor(req, &batch));
   }
 
   if (batch.empty()) {
@@ -1268,7 +1118,7 @@ uint64_t UdrNf::EnqueueBatch(const std::vector<LdapRequest>& requests,
     for (RequestSlot& slot : event.slots) {
       out.results.push_back(std::move(slot.inline_result));
     }
-    out.latency = event.inline_latency;
+    CountEvent(out);
     ready_events_.emplace(handle, std::move(out));
     return handle;
   }
@@ -1297,40 +1147,19 @@ std::optional<ldap::LdapBatchResult> UdrNf::TakeBatchResult(uint64_t handle) {
 ldap::LdapBatchResult UdrNf::FinalizeEvent(PendingEvent& event,
                                            routing::EventOutcome& outcome) {
   LdapBatchResult out;
-  out.results.resize(event.requests.size());
+  out.results.reserve(event.slots.size());
   for (size_t i = 0; i < event.slots.size(); ++i) {
-    RequestSlot& slot = event.slots[i];
-    switch (slot.kind) {
-      case RequestSlot::Kind::kInline:
-        out.results[i] = std::move(slot.inline_result);
-        break;
-      case RequestSlot::Kind::kPipeline:
-        out.results[i] =
-            ResultFromOutcome(event.requests[i], outcome.outcomes[slot.op]);
-        break;
-      case RequestSlot::Kind::kDelete:
-        out.results[i] =
-            FinishBatchedDelete(slot.identity, outcome.outcomes[slot.op],
-                                outcome.outcomes[slot.write_op]);
-        break;
-    }
+    out.results.push_back(
+        FinishSlot(event.requests[i], event.slots[i], outcome.outcomes));
   }
   // Latency split: time parked in the window is reported apart from the
-  // shared dispatch's service share (plus any enqueue-time inline work).
+  // shared dispatch's service share.
   out.queue_delay = outcome.queue_delay;
-  out.latency = event.inline_latency + outcome.queue_delay +
-                outcome.service_latency;
+  out.latency = outcome.queue_delay + outcome.service_latency;
   out.partition_groups = outcome.partition_groups;
   out.bypass_hits = outcome.bypass_hits;
   out.coalesced_events = outcome.coalesced_events;
-  metrics_.Add("udr.batch.count");
-  metrics_.Add("udr.batch.ops", static_cast<int64_t>(event.requests.size()));
-  if (!out.ok()) metrics_.Add("udr.batch.failed_ops", out.failed_ops());
-  int64_t pipeline_requests = 0;  // Inline ops counted via Process() already.
-  for (const RequestSlot& slot : event.slots) {
-    if (slot.kind != RequestSlot::Kind::kInline) ++pipeline_requests;
-  }
-  migration_->OnForegroundOps(pipeline_requests);
+  CountEvent(out);
   return out;
 }
 
@@ -1355,13 +1184,13 @@ StatusOr<uint64_t> UdrNf::SubmitEvent(const std::vector<LdapRequest>& requests,
                                       sim::SiteId client_site) {
   auto poa = router_.FindPoaCluster(client_site);
   if (!poa.ok()) {
-    metrics_.Add("udr.submit.unavailable");
+    submit_unavailable_.Add();
     return poa.status();
   }
   BladeCluster* cluster = clusters_[*poa].get();
   auto handle = cluster->balancer().EnqueueBatch(requests, cluster->site());
   if (!handle.ok()) {
-    metrics_.Add("udr.submit.unavailable");
+    submit_unavailable_.Add();
     return handle.status();
   }
   event_clients_.emplace(*handle, std::make_pair(client_site, cluster->id()));
@@ -1405,7 +1234,7 @@ std::optional<ldap::LdapBatchResult> UdrNf::TakeEvent(uint64_t handle) {
   result->latency +=
       network_->topology().Rtt(it->second.first, cluster->site()) +
       network_->topology().HopOverhead();
-  metrics_.Add(result->ok() ? "udr.submit.ok" : "udr.submit.failed");
+  (result->ok() ? submit_ok_ : submit_failed_).Add();
   event_clients_.erase(it);
   return result;
 }
@@ -1421,7 +1250,7 @@ LdapBatchResult UdrNf::SubmitBatch(const std::vector<LdapRequest>& requests,
       r.diagnostic = poa.status().message();
     }
     out.latency = network_->rpc_timeout();
-    metrics_.Add("udr.submit.unavailable");
+    submit_unavailable_.Add();
     return out;
   }
   BladeCluster* cluster = clusters_[*poa].get();
@@ -1431,7 +1260,7 @@ LdapBatchResult UdrNf::SubmitBatch(const std::vector<LdapRequest>& requests,
   // per-request transit the batch saves over Submit-per-op.
   result.latency += network_->topology().Rtt(client_site, cluster->site()) +
                     network_->topology().HopOverhead();
-  metrics_.Add(result.ok() ? "udr.submit.ok" : "udr.submit.failed");
+  (result.ok() ? submit_ok_ : submit_failed_).Add();
   return result;
 }
 

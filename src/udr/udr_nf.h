@@ -359,7 +359,9 @@ class UdrNf : public ldap::LdapBackend {
 
   // -- ldap::LdapBackend ----------------------------------------------------------
 
-  /// Request semantics, entered at the PoA of `poa_site`.
+  /// Request semantics, entered at the PoA of `poa_site`: a batch of one
+  /// through the same pipeline as ProcessBatch. The result's latency is the
+  /// whole message's.
   ldap::LdapResult Process(const ldap::LdapRequest& request,
                            uint32_t poa_site) override;
 
@@ -367,8 +369,8 @@ class UdrNf : public ldap::LdapBackend {
   /// ride the routing::Router::RouteBatch pipeline; Delete rides it too, as
   /// a master-only read plus a delete-record write sharing the grouped
   /// windows (population/bind bookkeeping applied from the outcomes); Add
-  /// flushes the pending run and executes per-op in place, preserving
-  /// request order.
+  /// flushes the pending run and executes in place, preserving request
+  /// order. An unknown verb fails inline with kProtocolError.
   ldap::LdapBatchResult ProcessBatch(const std::vector<ldap::LdapRequest>& requests,
                                      uint32_t poa_site) override;
 
@@ -461,11 +463,8 @@ class UdrNf : public ldap::LdapBackend {
   /// agrees — the task is then a successful no-op).
   StatusOr<int64_t> RehomeOne(const migration::MigrationTaskSpec& spec);
 
-  ldap::LdapResult DoSearch(const ldap::LdapRequest& request, uint32_t poa_site);
+  /// The one inline verb: creates the subscription the Add names.
   ldap::LdapResult DoAdd(const ldap::LdapRequest& request, uint32_t poa_site);
-  ldap::LdapResult DoModify(const ldap::LdapRequest& request, uint32_t poa_site);
-  ldap::LdapResult DoDelete(const ldap::LdapRequest& request, uint32_t poa_site);
-  ldap::LdapResult DoCompare(const ldap::LdapRequest& request, uint32_t poa_site);
 
   /// Resolves the identity named by a request's DN (or filter) at the PoA.
   StatusOr<location::Identity> RequestIdentity(
@@ -477,7 +476,7 @@ class UdrNf : public ldap::LdapBackend {
   /// semantics of Search after the data path returned the record). Latency
   /// and staleness are the caller's to fill.
   ldap::LdapResult SearchResultFor(const ldap::LdapRequest& request,
-                                   const storage::Record& record) const;
+                                   storage::Record&& record) const;
 
   /// Translates a Modify request into pipeline mutations; FailedPrecondition
   /// when it touches an immutable identity attribute.
@@ -488,17 +487,18 @@ class UdrNf : public ldap::LdapBackend {
   StatusOr<routing::Operation> OperationFrom(
       const ldap::LdapRequest& request) const;
 
-  /// Maps one pipeline outcome back onto the request's LDAP result,
-  /// keeping the per-verb metrics in parity with the per-op path.
+  /// Maps one pipeline outcome back onto the request's LDAP result and
+  /// counts the per-verb metrics. A fetched record moves into the result.
   ldap::LdapResult ResultFromOutcome(const ldap::LdapRequest& request,
-                                     const routing::OpOutcome& outcome);
+                                     routing::OpOutcome& outcome);
 
   /// How one request of a multi-op event maps onto the pipeline batch.
   struct RequestSlot {
     enum class Kind {
       kPipeline,  ///< One batchable op at index `op`.
       kDelete,    ///< Master-only read at `op` + delete-record write at `write_op`.
-      kInline,    ///< Resolved without the pipeline; result already final.
+      kInline,    ///< Outside the pipeline: an error result already final,
+                  ///< or an Add the caller runs (DoAdd).
     };
     Kind kind = Kind::kInline;
     size_t op = 0;
@@ -515,22 +515,34 @@ class UdrNf : public ldap::LdapBackend {
                                        const routing::OpOutcome& read,
                                        const routing::OpOutcome& write);
 
+  /// The final LDAP result of one slot once its batch has been routed.
+  ldap::LdapResult FinishSlot(const ldap::LdapRequest& request,
+                              RequestSlot& slot,
+                              std::vector<routing::OpOutcome>& outcomes);
+
   /// Translates one request of an event into a slot, appending pipeline ops
   /// to `batch`. Batchable verbs map 1:1; Delete maps to its read + write
-  /// pair; anything else (or a translation failure) resolves inline via
-  /// `inline_exec` — ProcessBatch uses it to flush-then-execute, the enqueue
-  /// path to execute immediately.
-  template <typename InlineExec>
+  /// pair. A translation failure or unknown verb is a kInline slot with its
+  /// error result final; an Add is a kInline slot the caller executes
+  /// (flush the pending run, then DoAdd).
   RequestSlot SlotFor(const ldap::LdapRequest& request,
-                      routing::BatchRequest* batch, InlineExec&& inline_exec);
+                      routing::BatchRequest* batch) const;
+
+  /// The pipeline behind Process and ProcessBatch: one signaling event of
+  /// `n` requests, routed as one batch split only at Adds.
+  ldap::LdapBatchResult RunEvent(const ldap::LdapRequest* requests, size_t n,
+                                 uint32_t poa_site);
+
+  /// Per-event accounting shared by the inline and coalesced paths: batch
+  /// counters, and one foreground op per request for migration pacing.
+  void CountEvent(const ldap::LdapBatchResult& out);
 
   /// One event parked in a cluster's dispatch window, waiting for its flush.
   struct PendingEvent {
     uint32_t cluster = 0;
     routing::EventId event = 0;
     std::vector<ldap::LdapRequest> requests;
-    std::vector<RequestSlot> slots;    ///< 1:1 with `requests`.
-    MicroDuration inline_latency = 0;  ///< Latency of enqueue-time inline ops.
+    std::vector<RequestSlot> slots;  ///< 1:1 with `requests`.
   };
 
   /// Builds the LdapBatchResult of a flushed event from its demuxed outcome.
@@ -544,6 +556,17 @@ class UdrNf : public ldap::LdapBackend {
   UdrConfig config_;
   sim::Network* network_;
   Metrics metrics_;
+  // Data-path counters, registered once so the hot path skips name lookup.
+  Metrics::Counter batch_count_;
+  Metrics::Counter batch_ops_;
+  Metrics::Counter batch_failed_ops_;
+  Metrics::Counter search_ok_;
+  Metrics::Counter modify_ok_;
+  Metrics::Counter modify_failed_;
+  Metrics::Counter delete_ok_;
+  Metrics::Counter submit_ok_;
+  Metrics::Counter submit_failed_;
+  Metrics::Counter submit_unavailable_;
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;

@@ -621,5 +621,138 @@ TEST(FrontEndBatchTest, BatchedProcedureMatchesSequentialEffects) {
   EXPECT_LT(bat.latency, seq.latency);
 }
 
+
+// ---------------------------------------------------------------------------
+// One verb path: a lone op is a batch of one
+// ---------------------------------------------------------------------------
+
+/// The client-visible result of Process(req) must equal that of
+/// ProcessBatch({req}); the lone op's latency is the whole message's.
+void ExpectSameResult(const ldap::LdapResult& single,
+                      const ldap::LdapBatchResult& batch,
+                      const std::string& label) {
+  ASSERT_EQ(batch.results.size(), 1u) << label;
+  const ldap::LdapResult& one = batch.results.front();
+  EXPECT_EQ(single.code, one.code) << label;
+  EXPECT_EQ(single.diagnostic, one.diagnostic) << label;
+  EXPECT_EQ(single.latency, batch.latency) << label;
+  EXPECT_EQ(single.stale, one.stale) << label;
+  ASSERT_EQ(single.entries.size(), one.entries.size()) << label;
+  for (size_t i = 0; i < single.entries.size(); ++i) {
+    EXPECT_EQ(single.entries[i].dn, one.entries[i].dn) << label;
+    EXPECT_TRUE(single.entries[i].record == one.entries[i].record) << label;
+  }
+}
+
+/// The master copy of a subscriber's record, or nullptr once it is gone.
+const storage::Record* MasterRecord(udrnf::UdrNf& udr, const Identity& id) {
+  auto loc = udr.AuthoritativeLookup(id);
+  if (!loc.ok()) return nullptr;
+  replication::ReplicaSet* rs = udr.partition(loc->partition);
+  return rs->replica_se(rs->master_id())->store().Find(loc->key);
+}
+
+TEST(SingleOpPathTest, ProcessEqualsBatchOfOneForEveryVerb) {
+  workload::Testbed single_bed(BaseOptions(20));
+  workload::Testbed batch_bed(BaseOptions(20));
+  Settle(single_bed);
+  Settle(batch_bed);
+  const telecom::SubscriberFactory& factory = single_bed.factory();
+  const telecom::Subscriber sub = factory.Make(3);
+  const ldap::Dn dn = ldap::SubscriberDn("imsi", sub.imsi);
+  const telecom::Subscriber fresh = factory.Make(100);
+
+  struct Case {
+    std::string label;
+    ldap::LdapRequest request;
+    ldap::LdapResultCode expected;
+  };
+  std::vector<Case> cases;
+  cases.reserve(16);  // add_case hands out references into the vector.
+  auto add_case = [&](std::string label, ldap::LdapOp op, ldap::Dn target,
+                      ldap::LdapResultCode expected) -> ldap::LdapRequest& {
+    ldap::LdapRequest req;
+    req.op = op;
+    req.dn = std::move(target);
+    cases.push_back({std::move(label), std::move(req), expected});
+    return cases.back().request;
+  };
+  add_case("base search", ldap::LdapOp::kSearch, dn,
+           ldap::LdapResultCode::kSuccess);
+  {
+    ldap::LdapRequest& slf =
+        add_case("slf search", ldap::LdapOp::kSearch, ldap::SubscribersBase(),
+                 ldap::LdapResultCode::kSuccess);
+    slf.scope = ldap::SearchScope::kSingleLevel;
+    slf.filter = "(msisdn=" + sub.msisdn + ")";
+  }
+  for (const std::string& value : {sub.msisdn, std::string("+0")}) {
+    const bool match = value == sub.msisdn;
+    ldap::LdapRequest& cmp =
+        add_case(match ? "compare true" : "compare false",
+                 ldap::LdapOp::kCompare, dn,
+                 match ? ldap::LdapResultCode::kCompareTrue
+                       : ldap::LdapResultCode::kCompareFalse);
+    cmp.compare_attr = "msisdn";
+    cmp.compare_value = value;
+  }
+  add_case("modify", ldap::LdapOp::kModify, dn, ldap::LdapResultCode::kSuccess)
+      .mods.push_back(
+          {ldap::ModType::kReplace, "serving-vlr", std::string("vlr7")});
+  add_case("modify identity", ldap::LdapOp::kModify, dn,
+           ldap::LdapResultCode::kUnwillingToPerform)
+      .mods.push_back({ldap::ModType::kReplace, "msisdn", std::string("+1")});
+  add_case("delete", ldap::LdapOp::kDelete,
+           ldap::SubscriberDn("imsi", factory.Make(5).imsi),
+           ldap::LdapResultCode::kSuccess);
+  add_case("delete unknown", ldap::LdapOp::kDelete,
+           ldap::SubscriberDn("imsi", "000000000000000"),
+           ldap::LdapResultCode::kNoSuchObject);
+  add_case("add", ldap::LdapOp::kAdd, ldap::SubscriberDn("imsi", fresh.imsi),
+           ldap::LdapResultCode::kSuccess)
+      .add_entry = fresh.profile;
+  add_case("malformed filter", ldap::LdapOp::kSearch, dn,
+           ldap::LdapResultCode::kProtocolError)
+      .filter = "(msisdn=+34";
+  add_case("unknown verb", static_cast<ldap::LdapOp>(99), dn,
+           ldap::LdapResultCode::kProtocolError);
+  {
+    ldap::LdapRequest& bad_slf = add_case(
+        "malformed slf filter", ldap::LdapOp::kSearch, ldap::SubscribersBase(),
+        ldap::LdapResultCode::kProtocolError);
+    bad_slf.scope = ldap::SearchScope::kSingleLevel;
+    bad_slf.filter = "(msisdn=";
+  }
+
+  for (const Case& c : cases) {
+    const ldap::LdapResult single = single_bed.udr().Process(c.request, 0);
+    const ldap::LdapBatchResult batch =
+        batch_bed.udr().ProcessBatch({c.request}, 0);
+    EXPECT_EQ(single.code, c.expected) << c.label << ": " << single.diagnostic;
+    ExpectSameResult(single, batch, c.label);
+  }
+
+  // Both paths left the same state behind.
+  EXPECT_EQ(single_bed.udr().SubscriberCount(),
+            batch_bed.udr().SubscriberCount());
+  ASSERT_EQ(single_bed.udr().partition_count(),
+            batch_bed.udr().partition_count());
+  for (uint32_t p = 0; p < single_bed.udr().partition_count(); ++p) {
+    EXPECT_EQ(single_bed.udr().partition_map().population(p),
+              batch_bed.udr().partition_map().population(p))
+        << "partition " << p;
+  }
+  for (uint64_t i : {0, 3, 5, 19, 100}) {
+    const Identity id = factory.Make(i).ImsiId();
+    const storage::Record* a = MasterRecord(single_bed.udr(), id);
+    const storage::Record* b = MasterRecord(batch_bed.udr(), id);
+    ASSERT_EQ(a == nullptr, b == nullptr) << "subscriber " << i;
+    if (a != nullptr) {
+      EXPECT_TRUE(*a == *b) << "subscriber " << i;
+    }
+  }
+  EXPECT_EQ(MasterRecord(single_bed.udr(), factory.Make(5).ImsiId()), nullptr);
+}
+
 }  // namespace
 }  // namespace udr::routing

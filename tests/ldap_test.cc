@@ -148,10 +148,53 @@ TEST(FilterTest, ParseErrors) {
 }
 
 TEST(FilterTest, ToStringRoundTrip) {
-  const std::string text = "(&(msisdn=+34600000001)(!(barred=true)))";
-  auto f = Filter::Parse(text);
-  ASSERT_TRUE(f.ok());
-  EXPECT_EQ(f->ToString(), text);
+  // Each valid filter survives parse -> ToString -> parse unchanged.
+  for (const std::string text :
+       {"(&(msisdn=+34600000001)(!(barred=true)))", "(imsi=214010000000001)",
+        "(barred=*)", "(charging-profile>=3)", "(charging-profile<=9)",
+        "(|(msisdn=+34600000001)(impu=tel:+34600000001))",
+        "(&(objectclass=*)(|(a=1)(!(b<=2)))(c>=3))"}) {
+    auto f = Filter::Parse(text);
+    ASSERT_TRUE(f.ok()) << text;
+    EXPECT_EQ(f->ToString(), text);
+    auto again = Filter::Parse(f->ToString());
+    ASSERT_TRUE(again.ok()) << text;
+    EXPECT_EQ(again->ToString(), text);
+    EXPECT_EQ(again->Matches(MakeRecord()), f->Matches(MakeRecord())) << text;
+  }
+}
+
+std::string NotNest(int depth) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += "(!";
+  text += "(a=b)";
+  text.append(static_cast<size_t>(depth), ')');
+  return text;
+}
+
+TEST(FilterTest, NestingDepthIsCapped) {
+  // The leaf item is one level, so kMaxDepth - 1 negations is the deepest
+  // accepted filter.
+  EXPECT_TRUE(Filter::Parse(NotNest(Filter::kMaxDepth - 1)).ok());
+  auto too_deep = Filter::Parse(NotNest(Filter::kMaxDepth));
+  EXPECT_TRUE(too_deep.status().IsInvalidArgument());
+  // Composites count toward the same bound.
+  std::string ands;
+  for (int i = 0; i < Filter::kMaxDepth; ++i) ands += "(&";
+  ands += "(a=b)" + std::string(Filter::kMaxDepth, ')');
+  EXPECT_TRUE(Filter::Parse(ands).status().IsInvalidArgument());
+  // A nest far past the cap is refused without exhausting the stack.
+  EXPECT_TRUE(Filter::Parse(NotNest(100000)).status().IsInvalidArgument());
+}
+
+TEST(FilterTest, LengthIsCapped) {
+  const std::string at_cap =
+      "(a=" + std::string(Filter::kMaxLength - 4, 'x') + ")";
+  ASSERT_EQ(at_cap.size(), Filter::kMaxLength);
+  EXPECT_TRUE(Filter::Parse(at_cap).ok());
+  EXPECT_TRUE(Filter::Parse(at_cap + " ").status().IsInvalidArgument());
+  const std::string mib = "(a=" + std::string(1 << 20, 'x') + ")";
+  EXPECT_TRUE(Filter::Parse(mib).status().IsInvalidArgument());
 }
 
 TEST(FilterTest, ConvenienceConstructors) {

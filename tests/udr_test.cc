@@ -329,6 +329,29 @@ TEST_F(UdrLdapTest, CompareTrueFalse) {
   EXPECT_EQ(udr_->Submit(cmp, 0).code, LdapResultCode::kCompareFalse);
 }
 
+TEST_F(UdrLdapTest, HostileFiltersAreProtocolErrors) {
+  std::string deep;
+  for (int i = 0; i < 100000; ++i) deep += "(!";
+  deep += "(a=b)" + std::string(100000, ')');
+  const std::string huge = "(a=" + std::string(1 << 20, 'x') + ")";
+  for (const std::string& filter : {deep, huge}) {
+    LdapRequest base;
+    base.op = LdapOp::kSearch;
+    base.dn = ldap::SubscriberDn("imsi", "214");
+    base.filter = filter;
+    LdapResult r = udr_->Process(base, 0);
+    EXPECT_EQ(r.code, LdapResultCode::kProtocolError) << r.diagnostic;
+    EXPECT_TRUE(r.entries.empty());
+
+    LdapRequest slf;
+    slf.op = LdapOp::kSearch;
+    slf.dn = ldap::SubscribersBase();
+    slf.scope = ldap::SearchScope::kSingleLevel;
+    slf.filter = filter;
+    EXPECT_EQ(udr_->Process(slf, 0).code, LdapResultCode::kProtocolError);
+  }
+}
+
 TEST_F(UdrLdapTest, RemoteSubmitPaysBackboneWhenNoLocalPoa) {
   // Client at a site with a PoA: LAN leg. (All 3 sites have PoAs here, so
   // compare against a request that must reach a remote master instead.)
