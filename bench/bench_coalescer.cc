@@ -105,7 +105,7 @@ RunStats RunEvents(workload::Testbed& bed, int concurrency, int rounds,
       bed.clock().Advance(Micros(10));  // Staggered arrivals in the window.
     }
     if (coalesced) {
-      MicroTime deadline = udr.NextEventDeadline();
+      MicroTime deadline = udr.NextWakeup();
       if (deadline != kTimeInfinity) bed.clock().AdvanceTo(deadline);
       udr.PumpEvents();
     }

@@ -32,6 +32,7 @@
 #include "ldap/dn.h"
 #include "migration/planner.h"
 #include "telecom/subscriber.h"
+#include "workload/driver.h"
 #include "workload/testbed.h"
 
 using namespace udr;
@@ -107,7 +108,7 @@ Histogram RunProbes(workload::Testbed& bed, const std::vector<uint64_t>& subs,
   Histogram h;
   for (int t = 0; t < ticks; ++t) {
     bed.clock().Advance(kProbeGap);
-    if (pump) bed.udr().PumpMigration();
+    if (pump) bed.udr().migration_scheduler().Pump();
     h.Record(Probe(bed, subs[t % subs.size()], (t & 1) != 0));
   }
   return h;
@@ -140,7 +141,7 @@ M1Result RunM1() {
     int ticks = 0;
     while (bed.udr().MigrationActive() && ticks < 100000) {
       bed.clock().Advance(kProbeGap);
-      bed.udr().PumpMigration();
+      bed.udr().migration_scheduler().Pump();
       during.Record(Probe(bed, subs[ticks % subs.size()], (ticks & 1) != 0));
       ++ticks;
     }
@@ -179,13 +180,7 @@ M2Row RunM2(int64_t bps) {
   auto progress = bed.udr().StartMigration();
   row.bytes_estimated = progress.bytes_estimated;
   const MicroTime start = bed.clock().Now();
-  int guard = 0;
-  while (bed.udr().MigrationActive() && guard++ < 200000) {
-    MicroTime at = bed.udr().NextMigrationDeadline();
-    if (at == kTimeInfinity) break;
-    bed.clock().AdvanceTo(std::max(at, bed.clock().Now()));
-    bed.udr().PumpMigration();
-  }
+  workload::DrainMigration(bed);
   auto done = bed.udr().MigrationStatus();
   row.move_time = bed.clock().Now() - start;
   row.bytes_moved = done.bytes_moved;
@@ -213,10 +208,10 @@ M3Result RunM3() {
   telecom::SubscriberFactory extra(997);
   int step = 0;
   while (udr.MigrationActive() && step < 100000) {
-    MicroTime at = udr.NextMigrationDeadline();
+    MicroTime at = udr.migration_scheduler().NextDeadline();
     if (at == kTimeInfinity) break;
     bed.clock().AdvanceTo(std::max(at, bed.clock().Now()));
-    udr.PumpMigration();
+    udr.migration_scheduler().Pump();
 
     // One acknowledged write per pacing step, cycling the population so
     // plenty land on partitions that are mid-copy or mid-catch-up.
@@ -410,13 +405,13 @@ void BM_ThrottledMigrationPump(benchmark::State& state) {
   (void)bed.udr().AddCluster(0);
   bed.udr().StartMigration();
   for (auto _ : state) {
-    MicroTime at = bed.udr().NextMigrationDeadline();
+    MicroTime at = bed.udr().migration_scheduler().NextDeadline();
     if (at == kTimeInfinity) {
       state.SkipWithError("migration drained before the timing loop ended");
       break;
     }
     bed.clock().AdvanceTo(std::max(at, bed.clock().Now()));
-    bed.udr().PumpMigration();
+    bed.udr().migration_scheduler().Pump();
     benchmark::DoNotOptimize(bed.udr().MigrationStatus().bytes_moved);
   }
 }

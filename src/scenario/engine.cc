@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "workload/driver.h"
+
 namespace udr::scenario {
 
 using telecom::ProcedureResult;
@@ -139,42 +141,15 @@ void Engine::FeTick(MicroTime now) {
       fe.set_deferred(was_deferred);
       continue;
     }
-    if (rng_.Bernoulli(spec_.ims_fraction)) {
-      telecom::HssFe& fe = *hss_fes_[serving];
-      double pick = rng_.NextDouble();
-      if (pick < 0.55) {
-        Dispatch(&fe, fe.ImsLocate(sub.ImpuId()), false, false, index, 0);
-      } else if (pick < 0.80) {
-        Dispatch(&fe,
-                 fe.ImsRegister(sub.ImpuId(), "scscf" + std::to_string(serving)),
-                 true, false, index, 0);
-      } else {
-        Dispatch(&fe, fe.ImsDeregister(sub.ImpuId()), true, false, index, 0);
-      }
-    } else {
-      telecom::HlrFe& fe = *hlr_fes_[serving];
-      double pick = rng_.NextDouble();
-      if (pick < 0.35) {
-        Dispatch(&fe, fe.Authenticate(sub.ImsiId()), false, false, index, 0);
-      } else if (pick < 0.55) {
-        Dispatch(&fe, fe.SendRoutingInfo(sub.MsisdnId()), false, false, index,
-                 0);
-      } else if (pick < 0.70) {
-        Dispatch(&fe, fe.SmsRouting(sub.MsisdnId()), false, false, index, 0);
-      } else if (pick < 0.80) {
-        Dispatch(&fe, fe.InterrogateSs(sub.MsisdnId()), false, false, index, 0);
-      } else {
-        // The stamped FE write channel: the acked stamp IS the location
-        // area, so the ledger audit can read it back from the master copy.
-        int64_t stamp = ++next_stamp_;
-        Dispatch(&fe,
-                 fe.UpdateLocation(sub.ImsiId(),
-                                   "vlr" + std::to_string(serving), stamp),
-                 true, false, index, stamp);
-      }
-    }
+    // The stamped FE write channel: the acked stamp IS the location area,
+    // so the ledger audit can read it back from the master copy.
+    int64_t stamp = 0;
+    workload::IssuedFe issued = workload::IssueFeProcedure(
+        rng_, spec_.ims_fraction, sub, serving, *hlr_fes_[serving],
+        *hss_fes_[serving], [&]() { return stamp = ++next_stamp_; });
+    Dispatch(issued.fe, std::move(issued.result), issued.write, false, index,
+             stamp);
   }
-  if (!in_flight_.empty()) Collect();
 }
 
 void Engine::PsTick() {
@@ -298,7 +273,6 @@ ScenarioReport Engine::Run() {
   sim::SimClock& clock = bed_.clock();
   udrnf::UdrNf& udr = bed_.udr();
   const MicroTime start = clock.Now();
-  const MicroTime horizon = start + spec_.duration;
 
   std::vector<Step> steps = spec_.script.Sorted();
   // Link outages are pure schedule state: install every cut up-front so
@@ -310,69 +284,19 @@ ScenarioReport Engine::Run() {
     }
   }
 
-  const MicroDuration fe_gap =
-      spec_.fe_rate_per_sec > 0
-          ? static_cast<MicroDuration>(1e6 / spec_.fe_rate_per_sec)
-          : kTimeInfinity;
-  const MicroDuration ps_gap =
-      spec_.ps_rate_per_sec > 0
-          ? static_cast<MicroDuration>(1e6 / spec_.ps_rate_per_sec)
-          : kTimeInfinity;
-  MicroTime next_fe = start + fe_gap;
-  MicroTime next_ps = start + ps_gap;
-  size_t step_i = 0;
+  workload::Arrivals arrivals;
+  arrivals.fe_rate_per_sec = spec_.fe_rate_per_sec;
+  arrivals.ps_rate_per_sec = spec_.ps_rate_per_sec;
+  for (const Step& s : steps) arrivals.step_at.push_back(s.at);
+  arrivals.step = [&](size_t i) { ExecuteStep(steps[i], &report); };
+  arrivals.fe = [this](MicroTime now) { FeTick(now); };
+  arrivals.ps = [this]() { PsTick(); };
+  arrivals.collect = [this]() { Collect(); };
+  size_t step_i = workload::Drive(bed_, spec_.duration, arrivals);
 
-  while (true) {
-    MicroTime next_step =
-        step_i < steps.size() ? start + steps[step_i].at : kTimeInfinity;
-    MicroTime next = std::min({next_fe, next_ps, next_step});
-
-    // Wake exactly at the earliest open PoA window's deadline — or the
-    // time-series sampler's next due tick (PumpEvents drives both).
-    MicroTime flush_at =
-        std::min(udr.NextEventDeadline(), udr.NextObsSampleDue());
-    if (flush_at <= std::min(next, horizon)) {
-      clock.AdvanceTo(std::max(flush_at, clock.Now()));
-      udr.PumpEvents();
-      Collect();
-      continue;
-    }
-    // Wake at the migration scheduler's next chunk deadline.
-    MicroTime mig_at = udr.NextMigrationDeadline();
-    if (mig_at <= std::min(next, horizon)) {
-      clock.AdvanceTo(std::max(mig_at, clock.Now()));
-      udr.PumpMigration();
-      continue;
-    }
-    if (next > horizon) break;
-    clock.AdvanceTo(next);
-
-    if (next_step <= next_fe && next_step <= next_ps) {
-      ExecuteStep(steps[step_i], &report);
-      ++step_i;
-    } else if (next_fe <= next_ps) {
-      next_fe += fe_gap;
-      FeTick(next);
-    } else {
-      next_ps += ps_gap;
-      PsTick();
-    }
-  }
-
-  clock.AdvanceTo(horizon);
-  udr.FlushEvents();
-  Collect();
-
-  if (spec_.drain_migration_at_end) {
-    // Drain background tasks at the scheduler's own pace so end-of-run SLOs
-    // judge the completed move. Bounded: a stuck scheduler cannot hang us.
-    for (int guard = 0; udr.MigrationActive() && guard < 1000000; ++guard) {
-      MicroTime at = udr.NextMigrationDeadline();
-      if (at == kTimeInfinity) break;
-      clock.AdvanceTo(std::max(at, clock.Now()));
-      udr.PumpMigration();
-    }
-  }
+  // Drain background tasks at the scheduler's own pace so end-of-run SLOs
+  // judge the completed move.
+  workload::DrainMigration(bed_);
   udr.CatchUpAllPartitions();
 
   // Post-horizon steps (scenarios put their SLO rows just past the traffic

@@ -1,10 +1,11 @@
 // Scenario engine: compiles a scenario::Script against a workload::Testbed
-// and executes it — one deterministic sim-clock loop interleaving the FE/PS
-// traffic mix, the PoA dispatch-window flushes, background-migration pacing
-// and the script's timed steps — while a scenario::Verifier continuously
-// folds every outcome and checks the harness invariants. The result is a
-// ScenarioReport whose Serialize() output is byte-identical for the same
-// spec + seed (the replay-determinism contract the harness tests assert).
+// and executes it — its FE/PS traffic mix and the script's timed steps feed
+// the sim-loop driver (workload/driver.h), which interleaves them with the
+// PoA dispatch-window flushes, background-migration pacing and sampler
+// ticks — while a scenario::Verifier continuously folds every outcome and
+// checks the harness invariants. The result is a ScenarioReport whose
+// Serialize() output is byte-identical for the same spec + seed (the
+// replay-determinism contract the harness tests assert).
 
 #ifndef UDR_SCENARIO_ENGINE_H_
 #define UDR_SCENARIO_ENGINE_H_
@@ -37,10 +38,6 @@ struct ScenarioSpec {
   double zipf_theta = 0.0;
   sim::SiteId ps_site = 0;
   bool batched = false;
-  /// After the traffic horizon, keep advancing the clock at the migration
-  /// scheduler's pace until every background task drained (so end-of-run
-  /// SLOs judge the completed move).
-  bool drain_migration_at_end = true;
 };
 
 /// Outcome of one scenario run.

@@ -265,8 +265,6 @@ migration::MigrationProgress UdrNf::StartMigration() {
   return migration_->Progress();
 }
 
-void UdrNf::PumpMigration() { migration_->Pump(); }
-
 migration::MigrationProgress UdrNf::StartDecommission(int se_index) {
   migration::MigrationPlan plan =
       migration::MigrationPlanner::PlanDecommission(map_, se_index);
@@ -505,7 +503,7 @@ void UdrNf::RehomeHashKeyed() {
   // identity resolves through the location stage (bypass exception, added at
   // enqueue) for the whole migration window and goes back to the fast path
   // at cutover. Unthrottled deployments drain inline — the pre-subsystem
-  // synchronous behavior; throttled ones drain through PumpMigration.
+  // synchronous behavior; throttled ones drain through PumpEvents.
   migration::MigrationPlan plan = migration::MigrationPlanner::PlanRehome(
       router_, map_, config_.hash_identity_type);
   for (const Identity& id : plan.already_homed) {
@@ -1204,7 +1202,7 @@ void UdrNf::PumpEvents() {
   // One sim loop drives all the background primitives: the PoA dispatch
   // windows, the migration scheduler, the heat-tier control loop, and the
   // time-series sampler's tick.
-  PumpMigration();
+  migration_->Pump();
   PumpHeat();
   if (sampler_ != nullptr) sampler_->MaybeSample();
 }
@@ -1216,8 +1214,9 @@ void UdrNf::FlushEvents() {
   }
 }
 
-MicroTime UdrNf::NextEventDeadline() const {
-  MicroTime next = kTimeInfinity;
+MicroTime UdrNf::NextWakeup() const {
+  MicroTime next = migration_->NextDeadline();
+  if (sampler_ != nullptr) next = std::min(next, sampler_->NextSampleDue());
   for (const auto& window : coalescers_) {
     next = std::min(next, window->deadline());
   }

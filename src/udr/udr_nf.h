@@ -98,7 +98,7 @@ struct UdrConfig {
   /// rebalance, weighted rebalance, hash re-homing) drains inline, the
   /// pre-subsystem behavior. > 0 turns those moves into background tasks
   /// paced by the migration scheduler's token bucket and drained by
-  /// PumpMigration / PumpEvents.
+  /// PumpEvents.
   int64_t migration_bandwidth_bps = 0;
   /// Transfer unit of the background scheduler: a migration step ships at
   /// most this many bytes before yielding to foreground traffic.
@@ -191,12 +191,6 @@ class UdrNf : public ldap::LdapBackend {
   /// The time-series sampler; nullptr when obs_sample_interval_us == 0.
   obs::TimeSeriesSampler* sampler() { return sampler_.get(); }
 
-  /// When the sampler's next tick is due (kTimeInfinity when off) — drivers
-  /// advance the clock here like NextEventDeadline / NextMigrationDeadline.
-  MicroTime NextObsSampleDue() const {
-    return sampler_ != nullptr ? sampler_->NextSampleDue() : kTimeInfinity;
-  }
-
   // -- Deployment / scale-out (§3.4) -------------------------------------------
 
   /// Deploys a new blade cluster at `site` with the configured number of SEs
@@ -224,20 +218,15 @@ class UdrNf : public ldap::LdapBackend {
 
   /// Plans the current rebalancing delta and enqueues it for background,
   /// bandwidth-throttled execution (no-op when a rebalance is already in
-  /// flight). The move proceeds as PumpMigration drains it; foreground
+  /// flight). The move proceeds as PumpEvents drains it; foreground
   /// traffic keeps flowing, protected by the bandwidth model. Returns the
   /// scheduler's progress snapshot after planning.
   migration::MigrationProgress StartMigration();
 
-  /// Performs whatever migration steps the bandwidth budget affords at the
-  /// current sim time. PumpEvents() calls this too, so one sim loop drives
-  /// both the PoA dispatch windows and background migration.
-  void PumpMigration();
-
   /// Decommissions one storage element's primary copies in ONE planner call:
   /// every partition it primary-hosts becomes a background migration task
   /// toward the least-loaded remaining SE (spread-aware). The drain proceeds
-  /// as PumpMigration affords it — throttled under a bandwidth cap, inline
+  /// as PumpEvents affords it — throttled under a bandwidth cap, inline
   /// when unthrottled — and no acknowledged write is lost at any cutover.
   /// The SE keeps its secondary copies (replica-membership changes are a
   /// follow-on). Returns the scheduler's progress snapshot after planning.
@@ -249,11 +238,6 @@ class UdrNf : public ldap::LdapBackend {
   }
   /// Any migration task still pending (copy, catch-up, or queued).
   bool MigrationActive() const { return migration_->HasWork(); }
-
-  /// When the next migration chunk's byte budget matures (kTimeInfinity
-  /// when idle; "now" when work is ready) — lets drivers advance the clock
-  /// to exactly the next pacing step, like NextEventDeadline for windows.
-  MicroTime NextMigrationDeadline() const { return migration_->NextDeadline(); }
 
   /// The background scheduler (introspection for tests and benches).
   migration::MigrationScheduler& migration_scheduler() { return *migration_; }
@@ -334,17 +318,18 @@ class UdrNf : public ldap::LdapBackend {
   StatusOr<uint64_t> SubmitEvent(const std::vector<ldap::LdapRequest>& requests,
                                  sim::SiteId client_site);
 
-  /// Flushes every PoA dispatch window whose sim-clock deadline has passed,
-  /// completing the affected events. Drivers call this after advancing the
-  /// clock.
+  /// The one pump: flushes every PoA window whose deadline has passed
+  /// (completing its events), takes the migration steps the bandwidth budget
+  /// affords, runs the heat tier and takes a due sampler tick.
   void PumpEvents();
 
   /// Closes all open windows now (end-of-run barrier).
   void FlushEvents();
 
-  /// Earliest close deadline over all open PoA windows (kTimeInfinity when
-  /// none is open) — lets drivers advance the clock to exactly the flush.
-  MicroTime NextEventDeadline() const;
+  /// When PumpEvents next has work: the earliest open window deadline,
+  /// migration chunk deadline ("now" when work is ready) or sampler tick;
+  /// kTimeInfinity when there is none.
+  MicroTime NextWakeup() const;
 
   /// Claims a completed event's result (client RTT included); nullopt while
   /// the event is still parked in its window.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "workload/driver.h"
 #include "workload/zipf.h"
 
 namespace udr::workload {
@@ -19,8 +20,7 @@ TrafficReport RunTraffic(Testbed& bed, const TrafficOptions& opts) {
   // Subscriber draw: theta <= 0 is an exact rng.Uniform passthrough, so the
   // historical uniform stream is byte-identical with the knob at its default.
   ZipfGenerator subscriber_pick(opts.subscriber_count, opts.zipf_theta);
-  sim::SimClock& clock = bed.clock();
-  const MicroTime horizon = clock.Now() + opts.duration;
+  udrnf::UdrNf& udr = bed.udr();
   const bool coalesced = opts.concurrent_events > 1;
   const int burst = std::max(1, opts.concurrent_events);
 
@@ -28,14 +28,14 @@ TrafficReport RunTraffic(Testbed& bed, const TrafficOptions& opts) {
   std::vector<std::unique_ptr<HlrFe>> hlr_fes;
   std::vector<std::unique_ptr<HssFe>> hss_fes;
   for (uint32_t s = 0; s < bed.options().sites; ++s) {
-    hlr_fes.push_back(std::make_unique<HlrFe>(s, &bed.udr(), opts.batched));
-    hss_fes.push_back(std::make_unique<HssFe>(s, &bed.udr(), opts.batched));
+    hlr_fes.push_back(std::make_unique<HlrFe>(s, &udr, opts.batched));
+    hss_fes.push_back(std::make_unique<HssFe>(s, &udr, opts.batched));
     if (coalesced) {
       hlr_fes.back()->set_deferred(true);
       hss_fes.back()->set_deferred(true);
     }
   }
-  telecom::ProvisioningSystem ps({opts.ps_site, 0, opts.batched}, &bed.udr(),
+  telecom::ProvisioningSystem ps({opts.ps_site, 0, opts.batched}, &udr,
                                  &bed.factory());
 
   // FE procedures parked in a PoA dispatch window, awaiting their flush.
@@ -49,15 +49,18 @@ TrafficReport RunTraffic(Testbed& bed, const TrafficOptions& opts) {
   // background scheduler still holds work at fold time.
   auto fold_fe = [&](ClassStats& cls, const ProcedureResult& r) {
     cls.Fold(r);
-    if (opts.pump_migration && bed.udr().MigrationActive()) {
+    if (udr.MigrationActive()) {
       report.fe_during_migration.Fold(r);
       if (r.ok()) {
-        bed.udr().metrics().Observe("migration.foreground_latency_during",
-                                    r.latency);
+        udr.metrics().Observe("migration.foreground_latency_during", r.latency);
       }
     }
   };
-  auto collect = [&]() {
+
+  Arrivals arrivals;
+  arrivals.fe_rate_per_sec = opts.fe_rate_per_sec;
+  arrivals.ps_rate_per_sec = opts.ps_rate_per_sec;
+  arrivals.collect = [&]() {
     for (auto it = in_flight.begin(); it != in_flight.end();) {
       std::optional<ProcedureResult> done = it->fe->TakeDeferred(it->handle);
       if (!done.has_value()) {
@@ -69,130 +72,80 @@ TrafficReport RunTraffic(Testbed& bed, const TrafficOptions& opts) {
       it = in_flight.erase(it);
     }
   };
-  // Folds an FE procedure outcome: inline results score immediately,
-  // deferred ones are tracked until their window flushes.
-  auto dispatch = [&](ClassStats& cls, telecom::FrontEnd& fe,
-                      ProcedureResult r) {
-    if (r.deferred()) {
-      in_flight.push_back({*r.pending, &fe, &cls});
-    } else {
-      fold_fe(cls, r);
+  arrivals.fe = [&](MicroTime) {
+    for (int b = 0; b < burst; ++b) {
+      uint64_t index = subscriber_pick.Next(rng);
+      telecom::Subscriber sub = bed.factory().Make(index);
+      sim::SiteId home = bed.HomeSiteOf(index);
+      sim::SiteId serving = home;
+      if (bed.options().sites > 1 && rng.Bernoulli(opts.roaming_fraction)) {
+        serving = static_cast<sim::SiteId>(
+            (home + 1 + rng.Uniform(bed.options().sites - 1)) %
+            bed.options().sites);
+      }
+      IssuedFe issued = IssueFeProcedure(
+          rng, opts.ims_fraction, sub, serving, *hlr_fes[serving],
+          *hss_fes[serving], [&]() {
+            return static_cast<int64_t>(serving * 100 + rng.Uniform(100));
+          });
+      ClassStats& cls = issued.write ? report.fe_write : report.fe_read;
+      // Inline results score now; deferred ones wait for their flush.
+      if (issued.result.deferred()) {
+        in_flight.push_back({*issued.result.pending, issued.fe, &cls});
+      } else {
+        fold_fe(cls, issued.result);
+      }
     }
   };
-
-  const MicroDuration fe_gap =
-      opts.fe_rate_per_sec > 0
-          ? static_cast<MicroDuration>(1e6 / opts.fe_rate_per_sec)
-          : kTimeInfinity;
-  const MicroDuration ps_gap =
-      opts.ps_rate_per_sec > 0
-          ? static_cast<MicroDuration>(1e6 / opts.ps_rate_per_sec)
-          : kTimeInfinity;
-
-  MicroTime next_fe = clock.Now() + fe_gap;
-  MicroTime next_ps = clock.Now() + ps_gap;
-
-  while (true) {
-    MicroTime next = std::min(next_fe, next_ps);
-    if (coalesced) {
-      // Wake exactly at the earliest open window's deadline so flushes
-      // happen on time (queueing delay stays bounded by the window).
-      MicroTime flush_at = bed.udr().NextEventDeadline();
-      if (flush_at <= std::min(next, horizon)) {
-        clock.AdvanceTo(std::max(flush_at, clock.Now()));
-        bed.udr().PumpEvents();
-        collect();
-        continue;
-      }
-    }
-    if (opts.pump_migration) {
-      // Wake at the scheduler's next chunk deadline: throttled background
-      // moves make exactly the progress the bandwidth budget matured.
-      MicroTime mig_at = bed.udr().NextMigrationDeadline();
-      if (mig_at <= std::min(next, horizon)) {
-        clock.AdvanceTo(std::max(mig_at, clock.Now()));
-        bed.udr().PumpMigration();
-        continue;
-      }
-    }
-    if (next > horizon) break;
-    clock.AdvanceTo(next);
-
-    if (next == next_fe) {
-      next_fe += fe_gap;
-      for (int b = 0; b < burst; ++b) {
-        uint64_t index = subscriber_pick.Next(rng);
-        telecom::Subscriber sub = bed.factory().Make(index);
-        sim::SiteId home = bed.HomeSiteOf(index);
-        sim::SiteId serving = home;
-        if (bed.options().sites > 1 && rng.Bernoulli(opts.roaming_fraction)) {
-          serving = static_cast<sim::SiteId>(
-              (home + 1 + rng.Uniform(bed.options().sites - 1)) %
-              bed.options().sites);
-        }
-        if (rng.Bernoulli(opts.ims_fraction)) {
-          HssFe& fe = *hss_fes[serving];
-          double pick = rng.NextDouble();
-          if (pick < 0.55) {
-            dispatch(report.fe_read, fe, fe.ImsLocate(sub.ImpuId()));
-          } else if (pick < 0.80) {
-            dispatch(report.fe_write, fe,
-                     fe.ImsRegister(sub.ImpuId(),
-                                    "scscf" + std::to_string(serving)));
-          } else {
-            dispatch(report.fe_write, fe, fe.ImsDeregister(sub.ImpuId()));
-          }
-        } else {
-          HlrFe& fe = *hlr_fes[serving];
-          double pick = rng.NextDouble();
-          if (pick < 0.35) {
-            dispatch(report.fe_read, fe, fe.Authenticate(sub.ImsiId()));
-          } else if (pick < 0.55) {
-            dispatch(report.fe_read, fe, fe.SendRoutingInfo(sub.MsisdnId()));
-          } else if (pick < 0.70) {
-            dispatch(report.fe_read, fe, fe.SmsRouting(sub.MsisdnId()));
-          } else if (pick < 0.80) {
-            dispatch(report.fe_read, fe, fe.InterrogateSs(sub.MsisdnId()));
-          } else {
-            dispatch(report.fe_write, fe,
-                     fe.UpdateLocation(
-                         sub.ImsiId(), "vlr" + std::to_string(serving),
-                         static_cast<int64_t>(serving * 100 + rng.Uniform(100))));
-          }
-        }
-      }
-      // A burst may have closed a window via the size cap (or coalescing is
-      // off and events completed at enqueue): score what is ready.
-      if (coalesced) collect();
+  arrivals.ps = [&]() {
+    uint64_t index = subscriber_pick.Next(rng);
+    double pick = rng.NextDouble();
+    if (pick < 0.5) {
+      report.ps.Fold(
+          ps.SetCallForwarding(index, "+3460000" + std::to_string(index % 100)));
+    } else if (pick < 0.85) {
+      report.ps.Fold(ps.SetPremiumBarring(index, rng.Bernoulli(0.5)));
     } else {
-      next_ps += ps_gap;
-      uint64_t index = subscriber_pick.Next(rng);
-      double pick = rng.NextDouble();
-      if (pick < 0.5) {
-        report.ps.Fold(
-            ps.SetCallForwarding(index, "+3460000" + std::to_string(index % 100)));
-      } else if (pick < 0.85) {
-        report.ps.Fold(ps.SetPremiumBarring(index, rng.Bernoulli(0.5)));
-      } else {
-        // New activation: walks out of the phone shop (§4.1).
-        uint64_t new_index = opts.subscriber_count + 1000000 +
-                             static_cast<uint64_t>(report.ps.attempted);
-        report.ps.Fold(ps.Provision(new_index));
-      }
+      // New activation: walks out of the phone shop (§4.1).
+      uint64_t new_index = opts.subscriber_count + 1000000 +
+                           static_cast<uint64_t>(report.ps.attempted);
+      report.ps.Fold(ps.Provision(new_index));
     }
-  }
-  clock.AdvanceTo(horizon);
-  if (coalesced) {
-    // End-of-run barrier: close every still-open window and score the rest.
-    bed.udr().FlushEvents();
-    collect();
-  }
-  if (opts.pump_migration && report.fe_during_migration.ok > 0) {
+  };
+  Drive(bed, opts.duration, arrivals);
+
+  if (report.fe_during_migration.ok > 0) {
     // The foreground-impact headline figure of the bandwidth model.
-    bed.udr().metrics().Observe("migration.foreground_p99_during",
-                                report.fe_during_migration.latency.P99());
+    udr.metrics().Observe("migration.foreground_p99_during",
+                          report.fe_during_migration.latency.P99());
   }
   return report;
+}
+
+IssuedFe IssueFeProcedure(Rng& rng, double ims_fraction,
+                          const telecom::Subscriber& sub, sim::SiteId serving,
+                          HlrFe& hlr, HssFe& hss,
+                          const std::function<int64_t()>& location_area) {
+  if (rng.Bernoulli(ims_fraction)) {
+    double pick = rng.NextDouble();
+    if (pick < 0.55) return {&hss, hss.ImsLocate(sub.ImpuId()), false};
+    if (pick < 0.80) {
+      return {&hss,
+              hss.ImsRegister(sub.ImpuId(), "scscf" + std::to_string(serving)),
+              true};
+    }
+    return {&hss, hss.ImsDeregister(sub.ImpuId()), true};
+  }
+  double pick = rng.NextDouble();
+  if (pick < 0.35) return {&hlr, hlr.Authenticate(sub.ImsiId()), false};
+  if (pick < 0.55) return {&hlr, hlr.SendRoutingInfo(sub.MsisdnId()), false};
+  if (pick < 0.70) return {&hlr, hlr.SmsRouting(sub.MsisdnId()), false};
+  if (pick < 0.80) return {&hlr, hlr.InterrogateSs(sub.MsisdnId()), false};
+  const int64_t area = location_area();
+  return {&hlr,
+          hlr.UpdateLocation(sub.ImsiId(), "vlr" + std::to_string(serving),
+                             area),
+          true};
 }
 
 }  // namespace udr::workload

@@ -9,8 +9,10 @@
 #define UDR_WORKLOAD_TRAFFIC_H_
 
 #include <cstdint>
+#include <functional>
 
 #include "common/histogram.h"
+#include "common/rng.h"
 #include "common/time.h"
 #include "telecom/front_end.h"
 #include "telecom/provisioning.h"
@@ -38,20 +40,13 @@ struct TrafficOptions {
   /// data-path pipeline (FE procedures and PS read-modify-writes) instead of
   /// one northbound round trip per op.
   bool batched = false;
-  /// Cross-event coalescing driver: > 1 issues this many concurrent FE
-  /// signaling events per arrival tick, each enqueued into the PoA's
-  /// dispatch window (FrontEnd deferred mode) instead of executing inline;
-  /// the driver advances the clock to each window's deadline, pumps the
-  /// flush and collects the demuxed per-event results. Only meaningful when
-  /// the UDR deploys `coalesce_window_us > 0`; 1 = the inline drivers above.
+  /// Cross-event coalescing: > 1 issues this many concurrent FE signaling
+  /// events per arrival tick, each enqueued into the PoA's dispatch window
+  /// (FrontEnd deferred mode) instead of executing inline; the sim-loop
+  /// driver flushes each window at its deadline and the run collects the
+  /// demuxed per-event results. Only meaningful when the UDR deploys
+  /// `coalesce_window_us > 0`; 1 = the inline drivers above.
   int concurrent_events = 1;
-  /// Drive background migration concurrently with the traffic: the run loop
-  /// wakes at the scheduler's chunk deadlines (NextMigrationDeadline) and
-  /// pumps it, so throttled moves interleave with foreground procedures.
-  /// Foreground procedures issued while a migration is in flight are
-  /// additionally folded into TrafficReport::fe_during_migration and the
-  /// `migration.foreground_latency_during` metrics histogram.
-  bool pump_migration = false;
   /// Sharded multi-threaded execution mode (RunShardedTraffic, src/exec/):
   /// split the subscriber space over this many shards, each a complete
   /// data-path slice on its own worker thread behind an SPSC handoff ring.
@@ -105,9 +100,9 @@ struct TrafficReport {
   ClassStats fe_read;   ///< Read-only FE procedures.
   ClassStats fe_write;  ///< FE procedures containing writes.
   ClassStats ps;        ///< Provisioning-system operations.
-  /// FE procedures that ran while a background migration was in flight
-  /// (also counted in fe_read/fe_write) — the foreground-impact view the
-  /// bandwidth model is judged by. Empty unless pump_migration drove one.
+  /// FE procedures scored while a background migration was in flight (also
+  /// counted in fe_read/fe_write and `migration.foreground_latency_during`)
+  /// — the foreground-impact view the bandwidth model is judged by.
   ClassStats fe_during_migration;
   /// Queueing delay of deferred FE events (time parked in the PoA dispatch
   /// window, µs) — empty unless the concurrent-event driver ran.
@@ -123,6 +118,24 @@ struct TrafficReport {
 /// Runs the mix against `bed` for `opts.duration`, advancing the testbed
 /// clock. Subscribers must already be provisioned ([0, subscriber_count)).
 TrafficReport RunTraffic(Testbed& bed, const TrafficOptions& opts);
+
+/// One FE procedure drawn and issued by IssueFeProcedure.
+struct IssuedFe {
+  telecom::FrontEnd* fe = nullptr;  ///< Where a deferred result is collected.
+  telecom::ProcedureResult result;
+  bool write = false;  ///< Register, deregister and update-location write.
+};
+
+/// Draws one procedure of the §4.1 FE mix with exactly two draws —
+/// Bernoulli(ims_fraction) picks IMS, then NextDouble() the procedure: IMS
+/// 55% locate, 25% register, 20% deregister; HLR 35% authenticate, 20%
+/// routing info, 15% SMS routing, 10% interrogate, 20% update-location —
+/// and issues it for `sub` on the `serving` site's FE pair. Only an update
+/// calls `location_area`, after the draws, for its argument.
+IssuedFe IssueFeProcedure(Rng& rng, double ims_fraction,
+                          const telecom::Subscriber& sub, sim::SiteId serving,
+                          telecom::HlrFe& hlr, telecom::HssFe& hss,
+                          const std::function<int64_t()>& location_area);
 
 }  // namespace udr::workload
 

@@ -259,7 +259,7 @@ TEST(SubmitEventTest, CoalescedResultsMatchSerialExecution) {
     bed.clock().Advance(Micros(100));  // Staggered arrivals inside the window.
     bed.udr().PumpEvents();
   }
-  bed.clock().AdvanceTo(bed.udr().NextEventDeadline());
+  bed.clock().AdvanceTo(bed.udr().NextWakeup());
   bed.udr().PumpEvents();
 
   for (size_t e = 0; e < events.size(); ++e) {
@@ -389,7 +389,7 @@ TEST(DeferredFrontEndTest, ProcedureCompletesWhenTheWindowFlushes) {
   EXPECT_EQ(fe.procedures_ok(), 0);  // Scored at collection, not enqueue.
   EXPECT_FALSE(fe.TakeDeferred(*first.pending).has_value());
 
-  bed.clock().AdvanceTo(bed.udr().NextEventDeadline());
+  bed.clock().AdvanceTo(bed.udr().NextWakeup());
   bed.udr().PumpEvents();
   auto done_first = fe.TakeDeferred(*first.pending);
   auto done_second = fe.TakeDeferred(*second.pending);

@@ -54,11 +54,11 @@ int DrainByDeadlines(udrnf::UdrNf& udr, sim::SimClock& clock,
                      int max_iters = 200000) {
   int iters = 0;
   while (udr.MigrationActive() && iters < max_iters) {
-    MicroTime at = udr.NextMigrationDeadline();
+    MicroTime at = udr.migration_scheduler().NextDeadline();
     EXPECT_NE(at, kTimeInfinity);
     if (at == kTimeInfinity) break;
     clock.AdvanceTo(std::max(at, clock.Now()));
-    udr.PumpMigration();
+    udr.migration_scheduler().Pump();
     ++iters;
   }
   return iters;
@@ -97,7 +97,7 @@ TEST(BackgroundMigrationTest, ThrottledMoveIsPacedByTheBandwidthModel) {
   EXPECT_TRUE(udr.MigrationActive());
 
   // A pump at a frozen clock moves at most one burst, never the whole plan.
-  udr.PumpMigration();
+  udr.migration_scheduler().Pump();
   EXPECT_TRUE(udr.MigrationActive());
   EXPECT_LT(udr.MigrationStatus().bytes_moved, progress.bytes_estimated);
 
@@ -149,10 +149,10 @@ TEST(BackgroundMigrationTest, AckedWritesDuringCopyAndCatchUpSurviveCutover) {
   std::vector<Identity> created;
   int step = 0;
   while (udr.MigrationActive() && step < 100000) {
-    MicroTime at = udr.NextMigrationDeadline();
+    MicroTime at = udr.migration_scheduler().NextDeadline();
     ASSERT_NE(at, kTimeInfinity);
     clock.AdvanceTo(std::max(at, clock.Now()));
-    udr.PumpMigration();
+    udr.migration_scheduler().Pump();
 
     uint64_t index = static_cast<uint64_t>(step % 160);
     std::string value = "+49" + std::to_string(step);
@@ -216,8 +216,9 @@ TEST(BackgroundMigrationTest, KilledDestinationLeavesSourceAuthoritative) {
 
   // Two pacing steps: the first copy is in flight but nowhere near done.
   for (int i = 0; i < 2; ++i) {
-    clock.AdvanceTo(std::max(udr.NextMigrationDeadline(), clock.Now()));
-    udr.PumpMigration();
+    migration::MigrationScheduler& sched = udr.migration_scheduler();
+    clock.AdvanceTo(std::max(sched.NextDeadline(), clock.Now()));
+    sched.Pump();
   }
   auto mid = udr.MigrationStatus();
   ASSERT_GT(mid.bytes_moved, 0);
@@ -227,8 +228,9 @@ TEST(BackgroundMigrationTest, KilledDestinationLeavesSourceAuthoritative) {
   network.partitions().CutBetween({0, 1, 2}, {3}, clock.Now(),
                                   clock.Now() + Seconds(3600));
   for (int i = 0; i < 64 && udr.MigrationActive(); ++i) {
-    clock.AdvanceTo(std::max(udr.NextMigrationDeadline(), clock.Now()));
-    udr.PumpMigration();
+    migration::MigrationScheduler& sched = udr.migration_scheduler();
+    clock.AdvanceTo(std::max(sched.NextDeadline(), clock.Now()));
+    sched.Pump();
   }
   ASSERT_FALSE(udr.MigrationActive());
 
@@ -407,12 +409,13 @@ TEST(BackgroundMigrationTest, ForegroundLoadDisplacesMigrationBudget) {
   clock.Advance(Seconds(5));
   ASSERT_TRUE(udr.AddCluster(3).ok());
   udr.StartMigration();
-  udr.PumpMigration();  // Spend the initial burst; deadlines now track tokens.
+  migration::MigrationScheduler& sched = udr.migration_scheduler();
+  sched.Pump();  // Spend the initial burst; deadlines now track tokens.
   ASSERT_TRUE(udr.MigrationActive());
 
-  MicroTime before = udr.NextMigrationDeadline();
-  udr.migration_scheduler().OnForegroundOps(32);
-  MicroTime after = udr.NextMigrationDeadline();
+  MicroTime before = sched.NextDeadline();
+  sched.OnForegroundOps(32);
+  MicroTime after = sched.NextDeadline();
   EXPECT_GT(after, before) << "foreground ops did not displace budget";
 }
 
@@ -436,7 +439,6 @@ TEST(BackgroundMigrationTest, TrafficRunsConcurrentlyWithMigration) {
   workload::TrafficOptions t;
   t.duration = Seconds(20);
   t.subscriber_count = 300;
-  t.pump_migration = true;
   workload::TrafficReport report = workload::RunTraffic(bed, t);
 
   // The move completed inside the run, foreground traffic flowed throughout,

@@ -161,5 +161,22 @@ TEST(TrafficTest, DeterministicGivenSeed) {
   }
 }
 
+TEST(TrafficTest, SamplerTicksDuringRun) {
+  // The sim-loop driver wakes at every sampler tick, inline driver included:
+  // a 2 s run at a 100 ms interval takes exactly 20 samples.
+  TestbedOptions o;
+  o.sites = 3;
+  o.subscribers = 200;
+  o.udr.obs_sample_interval_us = Millis(100);
+  Testbed bed(o);
+  ASSERT_NE(bed.udr().sampler(), nullptr);
+  TrafficOptions t;
+  t.duration = Seconds(2);
+  t.subscriber_count = 200;
+  t.concurrent_events = 1;
+  RunTraffic(bed, t);
+  EXPECT_EQ(bed.udr().sampler()->samples_taken(), 20);
+}
+
 }  // namespace
 }  // namespace udr::workload

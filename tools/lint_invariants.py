@@ -31,6 +31,13 @@ concurrency statically checkable — the ones a generic linter can't know:
                      REQUIRED_BENCHES list, so a bench falling out of the
                      build fails CI instead of being silently skipped.
 
+  sim-loop           AdvanceTo( may appear in src/ only under src/sim/ and in
+                     src/workload/driver.cc. The sim-loop driver there is
+                     the one loop that advances the clock from arrival to
+                     arrival and wakeup to wakeup (UdrNf::NextWakeup); a
+                     second copy drifts from it, as the old RunTraffic and
+                     scenario::Engine loops did.
+
   metric-name        every dotted metric-name string literal passed to
                      Add/Observe/RegisterCounter/RegisterHist in src/ must
                      appear (backticked) in the docs/METRICS.md table, and
@@ -77,6 +84,9 @@ RAW_MUTEX_PATTERNS = [
 
 TSA_ESCAPE_RE = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
 
+SIM_LOOP_RE = re.compile(r"\bAdvanceTo\s*\(")
+SIM_LOOP_HOMES = ("src/sim/", "src/workload/driver.cc")
+
 # Metric registry call sites and the dotted-name shape they must use.
 METRIC_CALL_RE = re.compile(
     r"\b(?:Add|Observe|RegisterCounter|RegisterHist)\s*\(")
@@ -92,6 +102,7 @@ def code_part(line: str) -> str:
 def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
     in_common = rel.startswith("src/common/")
     in_storage = rel.startswith("src/storage/")
+    in_sim_loop_home = rel.startswith(SIM_LOOP_HOMES)
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
 
@@ -145,6 +156,14 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                 if pat.search(code):
                     violations.append(f"{rel}:{lineno}: [raw-mutex] {what}")
                     break
+
+        if (not in_sim_loop_home and "sim-loop" not in active
+                and SIM_LOOP_RE.search(code)):
+            violations.append(
+                f"{rel}:{lineno}: [sim-loop] AdvanceTo( outside src/sim/ and "
+                f"src/workload/driver.cc — feed the sim-loop driver "
+                f"(workload::Drive / DrainMigration) instead of growing "
+                f"another clock loop")
 
         if TSA_ESCAPE_RE.search(code) and "tsa-escape" not in active:
             context = lines[max(0, lineno - 6):lineno]
