@@ -13,7 +13,9 @@
 #                      and covers the major data-path stages
 #   perfbench-smoke    the repo benchmark (perfbench/run.py) on storm_mix and
 #                      sharded_rw untraced, and fe_reads traced (its probes
-#                      drive UdrNf::Process); any non-zero exit fails
+#                      drive UdrNf::Process); any non-zero exit fails, and so
+#                      does a modelled-output digest that differs from the
+#                      one pinned in tools/perfbench_digests.txt
 #   asan-ubsan         Debug+ASan/UBSan ctest (-LE slow)
 #   tsan               ThreadSanitizer over the concurrent surface: exec_test,
 #                      obs_test, scenario_smoke, heat_test, migration_test
@@ -220,13 +222,27 @@ pass_stage
 
 # ---- perfbench smoke --------------------------------------------------------
 # The repo benchmark must build and pass its own output checks: exit 0 only
-# when every check passed (1 = a failed check, 2 = no result).
+# when every check passed (1 = a failed check, 2 = no result). Its modelled
+# outputs are pinned: the digest= on each run's first stdout line must match
+# that run's line in tools/perfbench_digests.txt.
 begin_stage "perfbench-smoke"
-for workload in storm_mix sharded_rw; do
-  python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 3 \
-    --trace 0
+PERFBENCH_DIGESTS=tools/perfbench_digests.txt
+for workload in storm_mix sharded_rw fe_reads; do
+  trace=0
+  [[ "${workload}" == fe_reads ]] && trace=1
+  out="$(python3 perfbench/run.py --workload "${workload}" --seed 1 \
+           --seconds 3 --trace "${trace}")"
+  echo "${out}"
+  got="$(head -n 1 <<< "${out}" | sed -n 's/.* digest=\([0-9a-f]*\).*/\1/p')"
+  want="$(awk -v w="${workload}" '$1 == w && $2 == 1 { print $3 }' \
+            "${PERFBENCH_DIGESTS}")"
+  if [[ -z "${got}" || "${got}" != "${want}" ]]; then
+    echo "PERFBENCH FAILED: ${workload} seed 1 digest '${got}' does not" \
+         "match '${want}' pinned in ${PERFBENCH_DIGESTS}"
+    exit 1
+  fi
+  echo "-- ${workload} seed 1: digest ${got} matches ${PERFBENCH_DIGESTS}"
 done
-python3 perfbench/run.py --workload fe_reads --seed 1 --seconds 3 --trace 1
 pass_stage
 
 # ---- sanitizers -------------------------------------------------------------

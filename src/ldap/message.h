@@ -6,9 +6,7 @@
 #define UDR_LDAP_MESSAGE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -129,44 +127,6 @@ struct LdapBatchResult {
     }
     return n;
   }
-};
-
-/// Interface implemented by the UDR data path; the stateless LDAP server
-/// farm delegates request semantics here.
-class LdapBackend {
- public:
-  virtual ~LdapBackend() = default;
-  /// Processes one request originating at `client_site`.
-  virtual LdapResult Process(const LdapRequest& request,
-                             uint32_t client_site) = 0;
-
-  /// Processes a multi-op request. The default realization degrades to
-  /// sequential per-op Process calls (no batching gain); the UDR data path
-  /// overrides it with the staged batch pipeline.
-  virtual LdapBatchResult ProcessBatch(const std::vector<LdapRequest>& requests,
-                                       uint32_t client_site);
-
-  /// Enqueues a multi-op request for deferred execution and returns a handle
-  /// for collecting the result. The default realization executes immediately
-  /// (ProcessBatch) and stashes the result — no coalescing gain; the UDR
-  /// data path overrides it to park the event in the PoA's cross-event
-  /// dispatch window.
-  virtual uint64_t EnqueueBatch(const std::vector<LdapRequest>& requests,
-                                uint32_t client_site);
-
-  /// Claims the result of an enqueued request; nullopt while it is still
-  /// pending (its dispatch window has not closed). A claimed result is
-  /// removed from the backend.
-  virtual std::optional<LdapBatchResult> TakeBatchResult(uint64_t handle);
-
- protected:
-  /// Allocates a backend-unique enqueue handle (shared by overrides so a
-  /// handle never collides between realizations of the enqueue path).
-  uint64_t NextEnqueueHandle() { return next_enqueue_handle_++; }
-
- private:
-  uint64_t next_enqueue_handle_ = 1;
-  std::unordered_map<uint64_t, LdapBatchResult> enqueued_results_;
 };
 
 }  // namespace udr::ldap

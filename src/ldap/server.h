@@ -1,21 +1,22 @@
 // Stateless LDAP server processes and the L4 balancer fronting them
-// (paper §3.4.1). Servers add per-operation processing cost and capacity
-// accounting; request semantics are delegated to the backend (the UDR data
-// path). Because servers are stateless, any instance can serve any client —
-// the statistical-multiplexing property §2.2 highlights.
+// (paper §3.4.1). A server is a cost, capacity and health record: admitting a
+// message charges its per-op protocol cost and counts the ops served. The
+// request semantics are the UDR data path's (UdrNf's client leg picks a
+// server, admits the message, then runs it). Because servers are stateless,
+// any instance can serve any client — the statistical-multiplexing property
+// §2.2 highlights.
 
 #ifndef UDR_LDAP_SERVER_H_
 #define UDR_LDAP_SERVER_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/time.h"
-#include "ldap/message.h"
 #include "sim/topology.h"
 
 namespace udr::ldap {
@@ -33,8 +34,7 @@ struct LdapServerConfig {
 /// One stateless LDAP server process.
 class LdapServer {
  public:
-  LdapServer(LdapServerConfig config, LdapBackend* backend)
-      : config_(std::move(config)), backend_(backend) {}
+  explicit LdapServer(LdapServerConfig config) : config_(std::move(config)) {}
 
   const LdapServerConfig& config() const { return config_; }
   const std::string& name() const { return config_.name; }
@@ -43,47 +43,11 @@ class LdapServer {
   bool healthy() const { return healthy_; }
   void set_healthy(bool h) { healthy_ = h; }
 
-  /// Serves one request: protocol cost + backend semantics.
-  LdapResult Serve(const LdapRequest& request, sim::SiteId client_site) {
-    LdapResult result = backend_->Process(request, client_site);
-    result.latency += config_.per_op_cost;
-    ++ops_served_;
-    return result;
-  }
-
-  /// Serves one multi-op request: per-op protocol cost, one backend batch.
-  LdapBatchResult ServeBatch(const std::vector<LdapRequest>& requests,
-                             sim::SiteId client_site) {
-    LdapBatchResult result = backend_->ProcessBatch(requests, client_site);
-    result.latency +=
-        config_.per_op_cost * static_cast<int64_t>(requests.size());
-    ops_served_ += static_cast<int64_t>(requests.size());
-    return result;
-  }
-
-  /// Enqueues one multi-op request into the backend's dispatch window. The
-  /// protocol processing happens at enqueue; its cost is charged onto the
-  /// result when it is taken.
-  uint64_t EnqueueBatch(const std::vector<LdapRequest>& requests,
-                        sim::SiteId client_site) {
-    uint64_t handle = backend_->EnqueueBatch(requests, client_site);
-    pending_cost_[handle] =
-        config_.per_op_cost * static_cast<int64_t>(requests.size());
-    ops_served_ += static_cast<int64_t>(requests.size());
-    return handle;
-  }
-
-  /// Claims the result of an enqueued request once its window flushed.
-  std::optional<LdapBatchResult> TakeBatch(uint64_t handle) {
-    std::optional<LdapBatchResult> result = backend_->TakeBatchResult(handle);
-    if (result.has_value()) {
-      auto it = pending_cost_.find(handle);
-      if (it != pending_cost_.end()) {
-        result->latency += it->second;
-        pending_cost_.erase(it);
-      }
-    }
-    return result;
+  /// Admits one northbound message of `ops` operations through this server
+  /// and returns its protocol processing cost.
+  MicroDuration Admit(size_t ops) {
+    ops_served_ += static_cast<int64_t>(ops);
+    return config_.per_op_cost * static_cast<int64_t>(ops);
   }
 
   int64_t ops_served() const { return ops_served_; }
@@ -95,11 +59,8 @@ class LdapServer {
 
  private:
   LdapServerConfig config_;
-  LdapBackend* backend_;
   bool healthy_ = true;
   int64_t ops_served_ = 0;
-  /// Protocol cost owed per enqueued-but-not-yet-taken request.
-  std::unordered_map<uint64_t, MicroDuration> pending_cost_;
 };
 
 /// L4-capable IP balancer realizing the Point of Access (PoA) to the UDR:
@@ -141,56 +102,6 @@ class L4Balancer {
     return Status::Unavailable("no healthy LDAP server at PoA");
   }
 
-  /// Serves a request through the next healthy server.
-  LdapResult Serve(const LdapRequest& request, sim::SiteId client_site) {
-    auto picked = Pick();
-    if (!picked.ok()) {
-      LdapResult r;
-      r.code = LdapResultCode::kUnavailable;
-      r.diagnostic = picked.status().message();
-      return r;
-    }
-    return (*picked)->Serve(request, client_site);
-  }
-
-  /// Serves a whole multi-op request through one server (the batch is one
-  /// protocol message; splitting it would forfeit the grouped dispatch).
-  LdapBatchResult ServeBatch(const std::vector<LdapRequest>& requests,
-                             sim::SiteId client_site) {
-    auto picked = Pick();
-    if (!picked.ok()) {
-      LdapBatchResult out;
-      out.results.resize(requests.size());
-      for (LdapResult& r : out.results) {
-        r.code = LdapResultCode::kUnavailable;
-        r.diagnostic = picked.status().message();
-      }
-      return out;
-    }
-    return (*picked)->ServeBatch(requests, client_site);
-  }
-
-  /// Enqueues a whole multi-op request through one server into the PoA's
-  /// cross-event dispatch window (the event is one protocol message; the
-  /// serving instance is remembered so the result can be claimed from it).
-  StatusOr<uint64_t> EnqueueBatch(const std::vector<LdapRequest>& requests,
-                                  sim::SiteId client_site) {
-    auto picked = Pick();
-    if (!picked.ok()) return picked.status();
-    uint64_t handle = (*picked)->EnqueueBatch(requests, client_site);
-    enqueued_[handle] = *picked;
-    return handle;
-  }
-
-  /// Claims the result of an enqueued request once its window flushed.
-  std::optional<LdapBatchResult> TakeBatch(uint64_t handle) {
-    auto it = enqueued_.find(handle);
-    if (it == enqueued_.end()) return std::nullopt;
-    std::optional<LdapBatchResult> result = it->second->TakeBatch(handle);
-    if (result.has_value()) enqueued_.erase(it);
-    return result;
-  }
-
   /// Aggregate ops/s capacity of the healthy servers.
   int64_t OpsPerSecondCapacity() const {
     int64_t total = 0;
@@ -204,8 +115,6 @@ class L4Balancer {
   sim::SiteId site_;
   std::vector<LdapServer*> servers_;
   size_t next_ = 0;
-  /// Server owning each in-flight enqueued request.
-  std::unordered_map<uint64_t, LdapServer*> enqueued_;
 };
 
 }  // namespace udr::ldap

@@ -21,7 +21,7 @@ StatusOr<storage::StorageElement*> BladeCluster::AddStorageElement(
 }
 
 StatusOr<ldap::LdapServer*> BladeCluster::AddLdapServer(
-    ldap::LdapServerConfig config, ldap::LdapBackend* backend) {
+    ldap::LdapServerConfig config) {
   if (ldap_servers_.size() >= kMaxLdapServersPerCluster) {
     return Status::ResourceExhausted(
         "cluster " + std::to_string(id_) + " already hosts " +
@@ -33,7 +33,7 @@ StatusOr<ldap::LdapServer*> BladeCluster::AddLdapServer(
                   std::to_string(ldap_servers_.size());
   }
   ldap_servers_.push_back(
-      std::make_unique<ldap::LdapServer>(std::move(config), backend));
+      std::make_unique<ldap::LdapServer>(std::move(config)));
   balancer_.AddServer(ldap_servers_.back().get());
   return ldap_servers_.back().get();
 }

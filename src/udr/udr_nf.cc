@@ -158,7 +158,7 @@ StatusOr<BladeCluster*> UdrNf::AddCluster(sim::SiteId site) {
     new_ses.push_back(*se);
   }
   for (int i = 0; i < config_.ldap_per_cluster; ++i) {
-    auto server = cluster->AddLdapServer(config_.ldap_template, this);
+    auto server = cluster->AddLdapServer(config_.ldap_template);
     if (!server.ok()) return server.status();
   }
   for (storage::StorageElement* se : new_ses) {
@@ -181,8 +181,8 @@ StatusOr<BladeCluster*> UdrNf::AddCluster(sim::SiteId site) {
   router_.RegisterPoa(cluster->id(), site, cluster->location_stage());
 
   // The PoA's cross-event dispatch window. With coalesce_window_us == 0 the
-  // coalescer is a passthrough and the enqueue path short-circuits to
-  // ProcessBatch, so deployments without the knob pay nothing.
+  // coalescer is a passthrough and an enqueued event runs at once, so
+  // deployments without the knob pay nothing.
   routing::CoalescerConfig cc;
   cc.window = config_.coalesce_window_us;
   cc.max_ops = config_.coalesce_max_ops > 0
@@ -688,23 +688,87 @@ Status UdrNf::DeleteSubscriber(const Identity& id, sim::SiteId origin_site) {
 // LDAP front door
 // ---------------------------------------------------------------------------
 
-LdapResult UdrNf::Submit(const LdapRequest& request, sim::SiteId client_site) {
+UdrNf::ClientLeg UdrNf::EnterPoa(sim::SiteId client_site, size_t ops) {
+  ClientLeg leg;
+  leg.client_site = client_site;
   auto poa = router_.FindPoaCluster(client_site);
-  if (!poa.ok()) {
+  if (poa.ok()) {
+    leg.cluster = clusters_[*poa].get();
+    auto server = leg.cluster->balancer().Pick();
+    if (server.ok()) {
+      leg.protocol_cost = (*server)->Admit(ops);
+      return leg;
+    }
+    leg.status = server.status();
+  } else {
+    leg.status = poa.status();
+  }
+  submit_unavailable_.Add();
+  return leg;
+}
+
+MicroDuration UdrNf::LegLatency(const ClientLeg& leg) const {
+  if (leg.cluster == nullptr) return network_->rpc_timeout();
+  return leg.protocol_cost +
+         network_->topology().Rtt(leg.client_site, leg.cluster->site()) +
+         network_->topology().HopOverhead();
+}
+
+LdapResult UdrNf::Submit(const LdapRequest& request, sim::SiteId client_site) {
+  const ClientLeg leg = EnterPoa(client_site, 1);
+  if (!leg.status.ok()) {
     LdapResult r;
     r.code = LdapResultCode::kUnavailable;
-    r.diagnostic = poa.status().message();
-    r.latency = network_->rpc_timeout();
-    submit_unavailable_.Add();
+    r.diagnostic = leg.status.message();
+    r.latency = LegLatency(leg);
     return r;
   }
-  BladeCluster* cluster = clusters_[*poa].get();
-  LdapResult result = cluster->balancer().Serve(request, cluster->site());
-  // Client <-> PoA leg (LAN when the client is co-located, §3.3.2 measure 1).
-  result.latency += network_->topology().Rtt(client_site, cluster->site()) +
-                    network_->topology().HopOverhead();
+  LdapResult result = Process(request, leg.cluster->site());
+  result.latency += LegLatency(leg);
   (result.ok() ? submit_ok_ : submit_failed_).Add();
   return result;
+}
+
+LdapBatchResult UdrNf::SubmitBatch(const std::vector<LdapRequest>& requests,
+                                   sim::SiteId client_site) {
+  const ClientLeg leg = EnterPoa(client_site, requests.size());
+  LdapBatchResult out;
+  if (leg.status.ok()) {
+    out = RunEvent(requests.data(), requests.size(), leg.cluster->site());
+    (out.ok() ? submit_ok_ : submit_failed_).Add();
+  } else {
+    out.results.resize(requests.size());
+    for (LdapResult& r : out.results) {
+      r.code = LdapResultCode::kUnavailable;
+      r.diagnostic = leg.status.message();
+    }
+  }
+  // One client <-> PoA round trip for the whole multi-op message — the
+  // per-request transit the batch saves over Submit-per-op.
+  out.latency += LegLatency(leg);
+  return out;
+}
+
+StatusOr<uint64_t> UdrNf::SubmitEvent(const std::vector<LdapRequest>& requests,
+                                      sim::SiteId client_site) {
+  ClientLeg leg = EnterPoa(client_site, requests.size());
+  if (!leg.status.ok()) return leg.status;
+  const uint64_t handle = EnqueueBatch(requests, leg.cluster->id());
+  event_clients_.emplace(handle, std::move(leg));
+  return handle;
+}
+
+std::optional<ldap::LdapBatchResult> UdrNf::TakeEvent(uint64_t handle) {
+  auto ready = ready_events_.find(handle);
+  if (ready == ready_events_.end()) return std::nullopt;
+  LdapBatchResult out = std::move(ready->second);
+  ready_events_.erase(ready);
+  auto client = event_clients_.find(handle);
+  // One client <-> PoA round trip for the whole event, as on SubmitBatch.
+  out.latency += LegLatency(client->second);
+  event_clients_.erase(client);
+  (out.ok() ? submit_ok_ : submit_failed_).Add();
+  return out;
 }
 
 StatusOr<Identity> UdrNf::RequestIdentity(const LdapRequest& request) const {
@@ -1072,17 +1136,17 @@ ldap::LdapBatchResult UdrNf::RunEvent(const LdapRequest* requests, size_t n,
 // ---------------------------------------------------------------------------
 
 uint64_t UdrNf::EnqueueBatch(const std::vector<LdapRequest>& requests,
-                             uint32_t poa_site) {
-  const uint64_t handle = NextEnqueueHandle();
-  BladeCluster* cluster = ClusterAtSite(poa_site);
-  if (config_.coalesce_window_us <= 0 || cluster == nullptr) {
-    // Coalescing off: the enqueue path degenerates to the inline pipeline,
-    // byte-identical to ProcessBatch (the PR 2 behavior).
+                             uint32_t cluster_id) {
+  const uint64_t handle = next_event_handle_++;
+  const sim::SiteId poa_site = clusters_[cluster_id]->site();
+  if (config_.coalesce_window_us <= 0) {
+    // Coalescing off: the event runs the inline pipeline at once,
+    // byte-identical to SubmitBatch.
     ready_events_.emplace(handle, ProcessBatch(requests, poa_site));
     return handle;
   }
 
-  routing::Coalescer& window = *coalescers_[cluster->id()];
+  routing::Coalescer& window = *coalescers_[cluster_id];
   for (const LdapRequest& req : requests) {
     if (req.op == ldap::LdapOp::kAdd) {
       // An Add cannot wait in the window (its placement/binding side effects
@@ -1091,7 +1155,7 @@ uint64_t UdrNf::EnqueueBatch(const std::vector<LdapRequest>& requests,
       // that arrived earlier dispatches first, preserving arrival order —
       // then run the whole event inline, exactly as serial execution would.
       window.FlushNow();
-      DrainCoalescer(cluster->id());
+      DrainCoalescer(cluster_id);
       metrics_.Add("udr.event.inline_add");
       ready_events_.emplace(handle, ProcessBatch(requests, poa_site));
       return handle;
@@ -1099,7 +1163,7 @@ uint64_t UdrNf::EnqueueBatch(const std::vector<LdapRequest>& requests,
   }
 
   PendingEvent event;
-  event.cluster = cluster->id();
+  event.cluster = cluster_id;
   event.requests = requests;
   routing::BatchRequest batch;
   event.slots.reserve(requests.size());
@@ -1130,16 +1194,8 @@ uint64_t UdrNf::EnqueueBatch(const std::vector<LdapRequest>& requests,
   metrics_.Add("udr.event.enqueued");
   // Drain only when the submit itself closed the window (size cap hit) —
   // the common parked submit leaves nothing to take.
-  if (!window.HasPending()) DrainCoalescer(cluster->id());
+  if (!window.HasPending()) DrainCoalescer(cluster_id);
   return handle;
-}
-
-std::optional<ldap::LdapBatchResult> UdrNf::TakeBatchResult(uint64_t handle) {
-  auto it = ready_events_.find(handle);
-  if (it == ready_events_.end()) return std::nullopt;
-  LdapBatchResult out = std::move(it->second);
-  ready_events_.erase(it);
-  return out;
 }
 
 ldap::LdapBatchResult UdrNf::FinalizeEvent(PendingEvent& event,
@@ -1178,23 +1234,6 @@ void UdrNf::DrainCoalescer(uint32_t cluster_id) {
   }
 }
 
-StatusOr<uint64_t> UdrNf::SubmitEvent(const std::vector<LdapRequest>& requests,
-                                      sim::SiteId client_site) {
-  auto poa = router_.FindPoaCluster(client_site);
-  if (!poa.ok()) {
-    submit_unavailable_.Add();
-    return poa.status();
-  }
-  BladeCluster* cluster = clusters_[*poa].get();
-  auto handle = cluster->balancer().EnqueueBatch(requests, cluster->site());
-  if (!handle.ok()) {
-    submit_unavailable_.Add();
-    return handle.status();
-  }
-  event_clients_.emplace(*handle, std::make_pair(client_site, cluster->id()));
-  return *handle;
-}
-
 void UdrNf::PumpEvents() {
   for (uint32_t c = 0; c < coalescers_.size(); ++c) {
     if (coalescers_[c]->FlushIfDue()) DrainCoalescer(c);
@@ -1221,46 +1260,6 @@ MicroTime UdrNf::NextWakeup() const {
     next = std::min(next, window->deadline());
   }
   return next;
-}
-
-std::optional<ldap::LdapBatchResult> UdrNf::TakeEvent(uint64_t handle) {
-  auto it = event_clients_.find(handle);
-  if (it == event_clients_.end()) return std::nullopt;
-  BladeCluster* cluster = clusters_[it->second.second].get();
-  auto result = cluster->balancer().TakeBatch(handle);
-  if (!result.has_value()) return std::nullopt;
-  // One client <-> PoA round trip for the whole event, as on SubmitBatch.
-  result->latency +=
-      network_->topology().Rtt(it->second.first, cluster->site()) +
-      network_->topology().HopOverhead();
-  (result->ok() ? submit_ok_ : submit_failed_).Add();
-  event_clients_.erase(it);
-  return result;
-}
-
-LdapBatchResult UdrNf::SubmitBatch(const std::vector<LdapRequest>& requests,
-                                   sim::SiteId client_site) {
-  auto poa = router_.FindPoaCluster(client_site);
-  if (!poa.ok()) {
-    LdapBatchResult out;
-    out.results.resize(requests.size());
-    for (LdapResult& r : out.results) {
-      r.code = LdapResultCode::kUnavailable;
-      r.diagnostic = poa.status().message();
-    }
-    out.latency = network_->rpc_timeout();
-    submit_unavailable_.Add();
-    return out;
-  }
-  BladeCluster* cluster = clusters_[*poa].get();
-  LdapBatchResult result =
-      cluster->balancer().ServeBatch(requests, cluster->site());
-  // One client <-> PoA round trip for the whole multi-op message — the
-  // per-request transit the batch saves over Submit-per-op.
-  result.latency += network_->topology().Rtt(client_site, cluster->site()) +
-                    network_->topology().HopOverhead();
-  (result.ok() ? submit_ok_ : submit_failed_).Add();
-  return result;
 }
 
 }  // namespace udr::udrnf

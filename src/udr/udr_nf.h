@@ -10,12 +10,14 @@
 //     goes (least-loaded, round-robin, hash, selective/home-site §3.5);
 //   * routing::Router — PoA selection, identity resolution and the hop to
 //     the owning replication::ReplicaSet;
-//   * the northbound LDAP interface (UDC-mandated), implemented by this
-//     class as an ldap::LdapBackend over the router.
+//   * the northbound LDAP interface (UDC-mandated): one client leg (nearest
+//     serving PoA, one balancer pick, the picked server's protocol cost)
+//     shared by Submit, SubmitBatch and SubmitEvent, then the LDAP verb
+//     adapter over the router.
 //
 // UdrNf itself is deployment orchestration (AddCluster / Rebalance /
-// maintenance fan-out) plus the LDAP verb adapter; all placement and
-// partition-selection logic lives in src/routing/.
+// maintenance fan-out) plus the front door and the LDAP verb adapter; all
+// placement and partition-selection logic lives in src/routing/.
 
 #ifndef UDR_UDR_UDR_NF_H_
 #define UDR_UDR_UDR_NF_H_
@@ -169,10 +171,10 @@ struct UdrConfig {
 };
 
 /// The UDR network function.
-class UdrNf : public ldap::LdapBackend {
+class UdrNf {
  public:
   UdrNf(UdrConfig config, sim::Network* network);
-  ~UdrNf() override;
+  ~UdrNf();
 
   const UdrConfig& config() const { return config_; }
   sim::Network* network() const { return network_; }
@@ -293,10 +295,11 @@ class UdrNf : public ldap::LdapBackend {
 
   // -- Client entry point --------------------------------------------------------
 
-  /// Submits an LDAP request from a client at `client_site`: routes to the
-  /// nearest reachable PoA, through its balancer and a stateless LDAP
-  /// server, into the data path. The returned latency covers the whole
-  /// client-observed path.
+  /// Submits an LDAP request from a client at `client_site`: the client leg
+  /// (nearest reachable PoA, one stateless LDAP server picked by its
+  /// balancer), then the data path as a batch of one. The returned latency
+  /// covers the whole client-observed path. A PoA that is unreachable or has
+  /// no healthy server answers kUnavailable.
   ldap::LdapResult Submit(const ldap::LdapRequest& request,
                           sim::SiteId client_site);
 
@@ -309,12 +312,13 @@ class UdrNf : public ldap::LdapBackend {
   // -- Cross-event coalescing (PoA dispatch window) ------------------------------
 
   /// Enqueues one signaling event into the PoA's cross-event dispatch
-  /// window: client -> balancer -> stateless server, then the event parks in
+  /// window: the same client leg as SubmitBatch, then the event parks in
   /// the cluster's routing::Coalescer instead of executing inline. The
   /// result is collected with TakeEvent once the window flushes (PumpEvents
   /// when the sim clock passes the deadline, FlushEvents as a barrier). With
   /// `coalesce_window_us == 0` the event executes immediately and TakeEvent
-  /// succeeds right away with a result identical to SubmitBatch.
+  /// succeeds right away with a result identical to SubmitBatch. Unavailable
+  /// when no PoA serves the client or its LDAP farm has no healthy server.
   StatusOr<uint64_t> SubmitEvent(const std::vector<ldap::LdapRequest>& requests,
                                  sim::SiteId client_site);
 
@@ -342,13 +346,13 @@ class UdrNf : public ldap::LdapBackend {
                                            : nullptr;
   }
 
-  // -- ldap::LdapBackend ----------------------------------------------------------
+  // -- Request semantics (behind the client leg) ---------------------------------
 
   /// Request semantics, entered at the PoA of `poa_site`: a batch of one
   /// through the same pipeline as ProcessBatch. The result's latency is the
   /// whole message's.
   ldap::LdapResult Process(const ldap::LdapRequest& request,
-                           uint32_t poa_site) override;
+                           uint32_t poa_site);
 
   /// Multi-op request semantics: batchable verbs (search, compare, modify)
   /// ride the routing::Router::RouteBatch pipeline; Delete rides it too, as
@@ -357,16 +361,7 @@ class UdrNf : public ldap::LdapBackend {
   /// flushes the pending run and executes in place, preserving request
   /// order. An unknown verb fails inline with kProtocolError.
   ldap::LdapBatchResult ProcessBatch(const std::vector<ldap::LdapRequest>& requests,
-                                     uint32_t poa_site) override;
-
-  /// Parks a multi-op request in this PoA's cross-event dispatch window
-  /// (Adds and untranslatable requests resolve inline at enqueue time).
-  /// With coalescing disabled this is ProcessBatch plus a stashed result.
-  uint64_t EnqueueBatch(const std::vector<ldap::LdapRequest>& requests,
-                        uint32_t poa_site) override;
-
-  /// Claims a completed enqueued request; nullopt while its window is open.
-  std::optional<ldap::LdapBatchResult> TakeBatchResult(uint64_t handle) override;
+                                     uint32_t poa_site);
 
   // -- Internal administration -----------------------------------------------------
 
@@ -522,6 +517,34 @@ class UdrNf : public ldap::LdapBackend {
   /// counters, and one foreground op per request for migration pacing.
   void CountEvent(const ldap::LdapBatchResult& out);
 
+  /// The client leg of one northbound message, shared by Submit, SubmitBatch
+  /// and SubmitEvent.
+  struct ClientLeg {
+    sim::SiteId client_site = 0;
+    BladeCluster* cluster = nullptr;  ///< The PoA's; null when none serves.
+    MicroDuration protocol_cost = 0;  ///< The picked LDAP server's charge.
+    /// Unavailable when no PoA serves the client or none of its LDAP
+    /// servers is healthy.
+    Status status;
+  };
+
+  /// Enters the nearest serving PoA: one balancer pick, then admission of
+  /// `ops` ops on the picked server. A turned-away message is counted once,
+  /// in udr.submit.unavailable.
+  ClientLeg EnterPoa(sim::SiteId client_site, size_t ops);
+
+  /// Latency the leg adds to the message: protocol cost plus one
+  /// client <-> PoA round trip (LAN when co-located, §3.3.2 measure 1); the
+  /// RPC timeout when no PoA serves the client.
+  MicroDuration LegLatency(const ClientLeg& leg) const;
+
+  /// Parks a multi-op request in cluster `cluster_id`'s cross-event dispatch
+  /// window (Adds and untranslatable requests resolve inline at enqueue
+  /// time) and returns its handle. With coalescing disabled the event runs
+  /// at once and its result is ready immediately.
+  uint64_t EnqueueBatch(const std::vector<ldap::LdapRequest>& requests,
+                        uint32_t cluster_id);
+
   /// One event parked in a cluster's dispatch window, waiting for its flush.
   struct PendingEvent {
     uint32_t cluster = 0;
@@ -567,10 +590,11 @@ class UdrNf : public ldap::LdapBackend {
   std::vector<std::unique_ptr<routing::Coalescer>> coalescers_;
   /// Events parked in a window, keyed by enqueue handle.
   std::unordered_map<uint64_t, PendingEvent> pending_events_;
-  /// Flushed events awaiting TakeBatchResult.
+  /// Completed events awaiting TakeEvent.
   std::unordered_map<uint64_t, ldap::LdapBatchResult> ready_events_;
-  /// Client leg of each in-flight SubmitEvent: {client_site, cluster id}.
-  std::unordered_map<uint64_t, std::pair<sim::SiteId, uint32_t>> event_clients_;
+  /// Client leg of each in-flight SubmitEvent.
+  std::unordered_map<uint64_t, ClientLeg> event_clients_;
+  uint64_t next_event_handle_ = 1;
   storage::RecordKey next_key_ = 1;
   int64_t subscriber_count_ = 0;
   /// Live runtime splits, oldest first; StartMerge keeps the entry until the

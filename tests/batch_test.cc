@@ -655,8 +655,14 @@ const storage::Record* MasterRecord(udrnf::UdrNf& udr, const Identity& id) {
 TEST(SingleOpPathTest, ProcessEqualsBatchOfOneForEveryVerb) {
   workload::Testbed single_bed(BaseOptions(20));
   workload::Testbed batch_bed(BaseOptions(20));
-  Settle(single_bed);
-  Settle(batch_bed);
+  // One more twin per northbound entry; the three share one client leg.
+  // Coalescing is off (the default), so SubmitEvent runs at once too.
+  workload::Testbed submit_bed(BaseOptions(20));
+  workload::Testbed submit_batch_bed(BaseOptions(20));
+  workload::Testbed submit_event_bed(BaseOptions(20));
+  std::vector<workload::Testbed*> beds = {&single_bed, &batch_bed, &submit_bed,
+                                          &submit_batch_bed, &submit_event_bed};
+  for (workload::Testbed* bed : beds) Settle(*bed);
   const telecom::SubscriberFactory& factory = single_bed.factory();
   const telecom::Subscriber sub = factory.Make(3);
   const ldap::Dn dn = ldap::SubscriberDn("imsi", sub.imsi);
@@ -730,28 +736,66 @@ TEST(SingleOpPathTest, ProcessEqualsBatchOfOneForEveryVerb) {
         batch_bed.udr().ProcessBatch({c.request}, 0);
     EXPECT_EQ(single.code, c.expected) << c.label << ": " << single.diagnostic;
     ExpectSameResult(single, batch, c.label);
+
+    const ldap::LdapResult submitted = submit_bed.udr().Submit(c.request, 0);
+    EXPECT_EQ(submitted.code, c.expected) << c.label;
+    ExpectSameResult(submitted,
+                     submit_batch_bed.udr().SubmitBatch({c.request}, 0),
+                     c.label + " / SubmitBatch");
+    auto handle = submit_event_bed.udr().SubmitEvent({c.request}, 0);
+    ASSERT_TRUE(handle.ok()) << c.label;
+    auto taken = submit_event_bed.udr().TakeEvent(*handle);
+    ASSERT_TRUE(taken.has_value()) << c.label;
+    ExpectSameResult(submitted, *taken, c.label + " / SubmitEvent");
   }
 
-  // Both paths left the same state behind.
-  EXPECT_EQ(single_bed.udr().SubscriberCount(),
-            batch_bed.udr().SubscriberCount());
-  ASSERT_EQ(single_bed.udr().partition_count(),
-            batch_bed.udr().partition_count());
-  for (uint32_t p = 0; p < single_bed.udr().partition_count(); ++p) {
-    EXPECT_EQ(single_bed.udr().partition_map().population(p),
-              batch_bed.udr().partition_map().population(p))
-        << "partition " << p;
-  }
-  for (uint64_t i : {0, 3, 5, 19, 100}) {
-    const Identity id = factory.Make(i).ImsiId();
-    const storage::Record* a = MasterRecord(single_bed.udr(), id);
-    const storage::Record* b = MasterRecord(batch_bed.udr(), id);
-    ASSERT_EQ(a == nullptr, b == nullptr) << "subscriber " << i;
-    if (a != nullptr) {
-      EXPECT_TRUE(*a == *b) << "subscriber " << i;
+  // Every path left the same state behind.
+  udrnf::UdrNf& ref = single_bed.udr();
+  for (workload::Testbed* bed : beds) {
+    udrnf::UdrNf& udr = bed->udr();
+    EXPECT_EQ(ref.SubscriberCount(), udr.SubscriberCount());
+    ASSERT_EQ(ref.partition_count(), udr.partition_count());
+    for (uint32_t p = 0; p < ref.partition_count(); ++p) {
+      EXPECT_EQ(ref.partition_map().population(p),
+                udr.partition_map().population(p))
+          << "partition " << p;
+    }
+    for (uint64_t i : {0, 3, 5, 19, 100}) {
+      const Identity id = factory.Make(i).ImsiId();
+      const storage::Record* a = MasterRecord(ref, id);
+      const storage::Record* b = MasterRecord(udr, id);
+      ASSERT_EQ(a == nullptr, b == nullptr) << "subscriber " << i;
+      if (a != nullptr) {
+        EXPECT_TRUE(*a == *b) << "subscriber " << i;
+      }
     }
   }
-  EXPECT_EQ(MasterRecord(single_bed.udr(), factory.Make(5).ImsiId()), nullptr);
+  EXPECT_EQ(MasterRecord(ref, factory.Make(5).ImsiId()), nullptr);
+
+  // The three entries counted the same outcomes and admitted the same ops
+  // on the same round-robin picks.
+  udrnf::UdrNf& submit_ref = submit_bed.udr();
+  for (workload::Testbed* bed : {&submit_batch_bed, &submit_event_bed}) {
+    udrnf::UdrNf& udr = bed->udr();
+    for (const char* name :
+         {"udr.submit.ok", "udr.submit.failed", "udr.submit.unavailable"}) {
+      EXPECT_EQ(submit_ref.metrics().Get(name), udr.metrics().Get(name))
+          << name;
+    }
+    ASSERT_EQ(submit_ref.cluster_count(), udr.cluster_count());
+    for (uint32_t c = 0; c < submit_ref.cluster_count(); ++c) {
+      const auto& want = submit_ref.cluster(c)->balancer().servers();
+      const auto& got = udr.cluster(c)->balancer().servers();
+      ASSERT_EQ(want.size(), got.size());
+      for (size_t s = 0; s < want.size(); ++s) {
+        EXPECT_EQ(want[s]->ops_served(), got[s]->ops_served())
+            << "cluster " << c << " server " << s;
+      }
+    }
+  }
+  EXPECT_EQ(submit_ref.metrics().Get("udr.submit.ok") +
+                submit_ref.metrics().Get("udr.submit.failed"),
+            static_cast<int64_t>(cases.size()));
 }
 
 }  // namespace

@@ -239,70 +239,54 @@ TEST(MessageTest, Names) {
 // Server + balancer
 // ---------------------------------------------------------------------------
 
-/// Backend that records calls and returns success.
-class FakeBackend : public LdapBackend {
- public:
-  LdapResult Process(const LdapRequest& request, uint32_t client_site) override {
-    ++calls;
-    last_site = client_site;
-    last_op = request.op;
-    LdapResult r;
-    r.latency = Micros(10);
-    return r;
-  }
-  int calls = 0;
-  uint32_t last_site = 0;
-  LdapOp last_op = LdapOp::kSearch;
-};
-
-TEST(LdapServerTest, ServeAddsProtocolCost) {
-  FakeBackend backend;
+TEST(LdapServerTest, AdmitChargesProtocolCost) {
   LdapServerConfig cfg;
   cfg.per_op_cost = Micros(1);
-  LdapServer server(cfg, &backend);
-  LdapRequest req;
-  LdapResult r = server.Serve(req, 2);
-  EXPECT_EQ(r.latency, Micros(11));
-  EXPECT_EQ(backend.calls, 1);
-  EXPECT_EQ(backend.last_site, 2u);
+  LdapServer server(cfg);
+  EXPECT_EQ(server.Admit(1), Micros(1));
   EXPECT_EQ(server.ops_served(), 1);
+  // A multi-op message pays the protocol cost once per op.
+  EXPECT_EQ(server.Admit(4), Micros(4));
+  EXPECT_EQ(server.ops_served(), 5);
 }
 
 TEST(LdapServerTest, CapacityFromPerOpCost) {
-  FakeBackend backend;
   LdapServerConfig cfg;
   cfg.per_op_cost = Micros(1);
-  LdapServer server(cfg, &backend);
+  LdapServer server(cfg);
   // 1 µs per op == the paper's 1e6 indexed ops/s per server.
   EXPECT_EQ(server.OpsPerSecondCapacity(), 1'000'000);
 }
 
 TEST(BalancerTest, RoundRobinSpreadsLoad) {
-  FakeBackend backend;
   LdapServerConfig cfg;
   L4Balancer balancer(0);
-  LdapServer s1(cfg, &backend), s2(cfg, &backend), s3(cfg, &backend);
+  LdapServer s1(cfg), s2(cfg), s3(cfg);
   balancer.AddServer(&s1);
   balancer.AddServer(&s2);
   balancer.AddServer(&s3);
-  LdapRequest req;
-  for (int i = 0; i < 9; ++i) balancer.Serve(req, 0);
+  for (int i = 0; i < 9; ++i) {
+    auto picked = balancer.Pick();
+    ASSERT_TRUE(picked.ok());
+    (*picked)->Admit(1);
+  }
   EXPECT_EQ(s1.ops_served(), 3);
   EXPECT_EQ(s2.ops_served(), 3);
   EXPECT_EQ(s3.ops_served(), 3);
 }
 
 TEST(BalancerTest, SkipsUnhealthyServers) {
-  FakeBackend backend;
   LdapServerConfig cfg;
   L4Balancer balancer(0);
-  LdapServer s1(cfg, &backend), s2(cfg, &backend);
+  LdapServer s1(cfg), s2(cfg);
   balancer.AddServer(&s1);
   balancer.AddServer(&s2);
   s1.set_healthy(false);
-  LdapRequest req;
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(balancer.Serve(req, 0).ok());
+    auto picked = balancer.Pick();
+    ASSERT_TRUE(picked.ok());
+    EXPECT_EQ(*picked, &s2);
+    (*picked)->Admit(1);
   }
   EXPECT_EQ(s1.ops_served(), 0);
   EXPECT_EQ(s2.ops_served(), 4);
@@ -311,22 +295,19 @@ TEST(BalancerTest, SkipsUnhealthyServers) {
 
 TEST(BalancerTest, UnavailableWhenNoHealthyServer) {
   L4Balancer balancer(0);
-  LdapRequest req;
-  EXPECT_EQ(balancer.Serve(req, 0).code, LdapResultCode::kUnavailable);
-  FakeBackend backend;
+  EXPECT_TRUE(balancer.Pick().status().IsUnavailable());
   LdapServerConfig cfg;
-  LdapServer s1(cfg, &backend);
+  LdapServer s1(cfg);
   balancer.AddServer(&s1);
   s1.set_healthy(false);
-  EXPECT_EQ(balancer.Serve(req, 0).code, LdapResultCode::kUnavailable);
+  EXPECT_TRUE(balancer.Pick().status().IsUnavailable());
 }
 
 TEST(BalancerTest, AggregateCapacityCountsHealthyOnly) {
-  FakeBackend backend;
   LdapServerConfig cfg;
   cfg.per_op_cost = Micros(1);
   L4Balancer balancer(0);
-  LdapServer s1(cfg, &backend), s2(cfg, &backend);
+  LdapServer s1(cfg), s2(cfg);
   balancer.AddServer(&s1);
   balancer.AddServer(&s2);
   EXPECT_EQ(balancer.OpsPerSecondCapacity(), 2'000'000);

@@ -45,22 +45,14 @@ TEST(BladeClusterTest, NamesElementsAfterCluster) {
   EXPECT_EQ((*se)->site(), 1u);
 }
 
-class NullBackend : public ldap::LdapBackend {
- public:
-  ldap::LdapResult Process(const LdapRequest&, uint32_t) override {
-    return ldap::LdapResult();
-  }
-};
-
 TEST(BladeClusterTest, EnforcesLdapLimitAndAutoRegisters) {
   sim::SimClock clock;
-  NullBackend backend;
   BladeCluster cluster(0, 0, &clock);
   ldap::LdapServerConfig cfg;
   for (int i = 0; i < kMaxLdapServersPerCluster; ++i) {
-    ASSERT_TRUE(cluster.AddLdapServer(cfg, &backend).ok());
+    ASSERT_TRUE(cluster.AddLdapServer(cfg).ok());
   }
-  EXPECT_TRUE(cluster.AddLdapServer(cfg, &backend).status().IsResourceExhausted());
+  EXPECT_TRUE(cluster.AddLdapServer(cfg).status().IsResourceExhausted());
   EXPECT_EQ(cluster.balancer().server_count(), 32u);
   // 32 servers x 1e6 ops/s each.
   EXPECT_EQ(cluster.LdapOpsPerSecond(), 32'000'000);
@@ -374,6 +366,40 @@ TEST_F(UdrLdapTest, SubmitUnreachableEverythingIsUnavailable) {
                                      clock_.Now() + Seconds(60));
   LdapResult r = Search("imsi", "214", 2);  // Local slave read still works.
   EXPECT_EQ(r.code, LdapResultCode::kSuccess);
+}
+
+TEST_F(UdrLdapTest, NoHealthyLdapServerIsUnavailableOnEveryEntry) {
+  // The PoA stays in the router's rotation (no SetClusterServing), but its
+  // whole LDAP farm is down: every entry turns the message away at the
+  // balancer and counts it once, as unavailable.
+  for (ldap::LdapServer* server : udr_->cluster(0)->balancer().servers()) {
+    server->set_healthy(false);
+  }
+  LdapRequest req;
+  req.op = LdapOp::kSearch;
+  req.dn = ldap::SubscriberDn("imsi", "214");
+  const MicroDuration leg =
+      network_->topology().Rtt(0, 0) + network_->topology().HopOverhead();
+
+  LdapResult single = udr_->Submit(req, 0);
+  EXPECT_EQ(single.code, LdapResultCode::kUnavailable);
+  EXPECT_EQ(single.latency, leg);
+
+  ldap::LdapBatchResult batch = udr_->SubmitBatch({req, req}, 0);
+  ASSERT_EQ(batch.results.size(), 2u);
+  for (const LdapResult& r : batch.results) {
+    EXPECT_EQ(r.code, LdapResultCode::kUnavailable);
+  }
+  EXPECT_EQ(batch.latency, leg);
+
+  EXPECT_TRUE(udr_->SubmitEvent({req}, 0).status().IsUnavailable());
+
+  EXPECT_EQ(udr_->metrics().Get("udr.submit.unavailable"), 3);
+  EXPECT_EQ(udr_->metrics().Get("udr.submit.failed"), 0);
+  EXPECT_EQ(udr_->metrics().Get("udr.submit.ok"), 0);
+  for (ldap::LdapServer* server : udr_->cluster(0)->balancer().servers()) {
+    EXPECT_EQ(server->ops_served(), 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
