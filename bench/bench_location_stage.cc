@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+
 #include "common/table.h"
 #include "location/location_stage.h"
 #include "telecom/subscriber.h"
@@ -28,13 +30,14 @@ void PrintLocationTables() {
           "(modelled O(log N) lookup; 2 identities per subscriber)",
           {"N subscribers", "lookup cost", "stage RAM", "RAM vs 200GB SE"});
   for (int64_t n : {10'000LL, 100'000LL, 1'000'000LL}) {
-    location::ProvisionedLocationStage stage(model);
+    location::IdentityIndex index;
+    location::ProvisionedLocationStage stage(&index, model);
     telecom::SubscriberFactory factory(42);
     for (int64_t i = 0; i < n; ++i) {
       LocationEntry e{static_cast<storage::RecordKey>(i),
                       static_cast<uint32_t>(i % 16)};
-      stage.Bind({IdentityType::kImsi, factory.ImsiOf(i)}, e);
-      stage.Bind({IdentityType::kMsisdn, factory.MsisdnOf(i)}, e);
+      index.Bind({IdentityType::kImsi, factory.ImsiOf(i)}, e);
+      index.Bind({IdentityType::kMsisdn, factory.MsisdnOf(i)}, e);
     }
     auto r = stage.Resolve({IdentityType::kImsi, factory.ImsiOf(n / 2)}, 0);
     double se_fraction = static_cast<double>(stage.ApproxBytes()) /
@@ -78,12 +81,13 @@ void PrintLocationTables() {
 
   Table t4("E8d: expected shape", {"check", "result"});
   {
-    location::ProvisionedLocationStage s1(model), s2(model);
+    location::IdentityIndex i1, i2;
+    location::ProvisionedLocationStage s1(&i1, model), s2(&i2, model);
     for (int i = 0; i < 1000; ++i) {
-      s1.Bind({IdentityType::kImsi, "a" + std::to_string(i)}, {1, 0});
+      i1.Bind({IdentityType::kImsi, "a" + std::to_string(i)}, {1, 0});
     }
     for (int i = 0; i < 1000000; ++i) {
-      s2.Bind({IdentityType::kImsi, "b" + std::to_string(i)}, {1, 0});
+      i2.Bind({IdentityType::kImsi, "b" + std::to_string(i)}, {1, 0});
     }
     auto c1 = s1.Resolve({IdentityType::kImsi, "a5"}, 0).cost;
     auto c2 = s2.Resolve({IdentityType::kImsi, "b5"}, 0).cost;
@@ -100,11 +104,12 @@ void PrintLocationTables() {
 // --- Measured lookup costs (real data structures, not the cost model) ------
 
 void BM_ProvisionedMapLookup(benchmark::State& state) {
-  location::ProvisionedLocationStage stage;
+  location::IdentityIndex index;
+  location::ProvisionedLocationStage stage(&index);
   telecom::SubscriberFactory factory(42);
   const int64_t n = state.range(0);
   for (int64_t i = 0; i < n; ++i) {
-    stage.Bind({IdentityType::kImsi, factory.ImsiOf(i)}, {1, 0});
+    index.Bind({IdentityType::kImsi, factory.ImsiOf(i)}, {1, 0});
   }
   uint64_t i = 0;
   for (auto _ : state) {

@@ -5,6 +5,10 @@
 namespace udr::ldap {
 
 StatusOr<Dn> Dn::Parse(const std::string& text) {
+  if (text.size() > kMaxLength) {
+    return Status::InvalidArgument("DN longer than " +
+                                   std::to_string(kMaxLength) + " bytes");
+  }
   std::vector<Rdn> rdns;
   std::string current;
   std::vector<std::string> parts;
@@ -14,6 +18,11 @@ StatusOr<Dn> Dn::Parse(const std::string& text) {
       current.push_back(',');
       ++i;
     } else if (c == ',') {
+      // This separator opens RDN number parts.size() + 2.
+      if (parts.size() + 2 > kMaxRdns) {
+        return Status::InvalidArgument("DN with more than " +
+                                       std::to_string(kMaxRdns) + " RDNs");
+      }
       parts.push_back(current);
       current.clear();
     } else {

@@ -32,6 +32,11 @@ class Dn {
   Dn() = default;
   explicit Dn(std::vector<Rdn> rdns) : rdns_(std::move(rdns)) {}
 
+  /// Parser bounds: a DN longer than kMaxLength bytes or with more than
+  /// kMaxRdns RDNs is rejected with InvalidArgument before any RDN is built.
+  static constexpr size_t kMaxLength = 16 * 1024;
+  static constexpr size_t kMaxRdns = 64;
+
   /// Parses "a=b,c=d,...". Escaped commas ("\,") are honored.
   static StatusOr<Dn> Parse(const std::string& text);
 

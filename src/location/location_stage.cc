@@ -16,11 +16,33 @@ double Log2Ceil(int64_t n) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// IdentityIndex
+// ---------------------------------------------------------------------------
+
+void IdentityIndex::Bind(const Identity& id, const LocationEntry& entry) {
+  auto [it, inserted] = map_.try_emplace(id, entry);
+  if (!inserted) {
+    it->second = entry;
+    return;
+  }
+  ++counts_[static_cast<int>(id.type)];
+  value_bytes_ += static_cast<int64_t>(id.value.size());
+}
+
+bool IdentityIndex::Unbind(const Identity& id) {
+  if (map_.erase(id) == 0) return false;
+  --counts_[static_cast<int>(id.type)];
+  value_bytes_ -= static_cast<int64_t>(id.value.size());
+  return true;
+}
+
+// ---------------------------------------------------------------------------
 // ProvisionedLocationStage
 // ---------------------------------------------------------------------------
 
-ProvisionedLocationStage::ProvisionedLocationStage(LocationCostModel model)
-    : model_(model) {}
+ProvisionedLocationStage::ProvisionedLocationStage(const IdentityIndex* index,
+                                                   LocationCostModel model)
+    : index_(index), model_(model) {}
 
 ResolveResult ProvisionedLocationStage::Resolve(const Identity& id,
                                                 MicroTime now) {
@@ -32,58 +54,41 @@ ResolveResult ProvisionedLocationStage::Resolve(const Identity& id,
         "location stage syncing identity maps (scale-out in progress)");
     return out;
   }
-  const auto& index = index_[static_cast<int>(id.type)];
   out.cost = model_.map_base +
-             static_cast<MicroDuration>(
-                 static_cast<double>(model_.map_per_log2) *
-                 Log2Ceil(static_cast<int64_t>(index.size())));
-  auto it = index.find(id.value);
-  if (it == index.end()) {
+             static_cast<MicroDuration>(static_cast<double>(model_.map_per_log2) *
+                                        Log2Ceil(index_->CountOf(id.type)));
+  const LocationEntry* entry = index_->Find(id);
+  if (entry == nullptr) {
     out.status = Status::NotFound("identity " + id.ToString());
     return out;
   }
   out.status = Status::Ok();
-  out.entry = it->second;
+  out.entry = *entry;
   return out;
 }
 
 Status ProvisionedLocationStage::Bind(const Identity& id,
                                       const LocationEntry& entry) {
-  index_[static_cast<int>(id.type)][id.value] = entry;
+  (void)id;
+  (void)entry;
   return Status::Ok();
 }
 
 Status ProvisionedLocationStage::Unbind(const Identity& id) {
-  auto& index = index_[static_cast<int>(id.type)];
-  if (index.erase(id.value) == 0) {
-    return Status::NotFound("identity " + id.ToString());
-  }
+  (void)id;
   return Status::Ok();
 }
 
-int64_t ProvisionedLocationStage::EntryCount() const {
-  int64_t total = 0;
-  for (const auto& index : index_) total += static_cast<int64_t>(index.size());
-  return total;
-}
+int64_t ProvisionedLocationStage::EntryCount() const { return index_->size(); }
 
 int64_t ProvisionedLocationStage::ApproxBytes() const {
-  int64_t bytes = 0;
-  for (const auto& index : index_) {
-    for (const auto& [value, _] : index) {
-      bytes += model_.bytes_per_entry + static_cast<int64_t>(value.size());
-    }
-  }
-  return bytes;
+  return index_->size() * model_.bytes_per_entry + index_->value_bytes();
 }
 
 MicroDuration ProvisionedLocationStage::BeginSyncFrom(
     const ProvisionedLocationStage& peer, MicroTime now) {
-  for (int t = 0; t < kIdentityTypeCount; ++t) {
-    index_[t] = peer.index_[t];
-  }
-  MicroDuration window =
-      peer.EntryCount() * model_.sync_per_entry;
+  index_ = peer.index_;
+  MicroDuration window = peer.EntryCount() * model_.sync_per_entry;
   sync_done_at_ = now + window;
   return window;
 }

@@ -6,6 +6,9 @@
 //     PS. State-full, O(log N) lookups, supports multiple indexes and
 //     selective placement; on scale-out a new stage instance must copy every
 //     map entry from a peer, during which its PoA cannot serve (S-R link).
+//     The O(log N) lookup and the per-instance copy are the *modelled* cost;
+//     on the host every instance resolves by hash against one shared
+//     IdentityIndex (the router's authoritative bindings).
 //   * CachedLocationStage — maps built on the fly: a miss broadcasts a
 //     location query to every storage element (cost grows with #SE), but
 //     scale-out needs no sync window.
@@ -18,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,6 +41,44 @@ struct LocationEntry {
   bool operator==(const LocationEntry& o) const {
     return key == o.key && partition == o.partition;
   }
+};
+
+/// The identity -> location bindings of one UDR: one hash map over every
+/// identity type plus per-type counts (the modelled tree depth of each
+/// type's index) and the summed identity-value bytes (the modelled RAM).
+/// The router owns the authoritative instance; ProvisionedLocationStage
+/// instances resolve against it instead of keeping copies of their own.
+class IdentityIndex {
+ public:
+  using Map = std::unordered_map<Identity, LocationEntry, IdentityHasher>;
+
+  /// Inserts or overwrites a binding.
+  void Bind(const Identity& id, const LocationEntry& entry);
+  /// Removes a binding; false when `id` was not bound.
+  bool Unbind(const Identity& id);
+
+  /// The binding of `id`; nullptr when unbound.
+  const LocationEntry* Find(const Identity& id) const {
+    auto it = map_.find(id);
+    return it == map_.end() ? nullptr : &it->second;
+  }
+  bool Contains(const Identity& id) const { return map_.count(id) > 0; }
+
+  /// Bound identities of one type / of every type.
+  int64_t CountOf(IdentityType type) const {
+    return counts_[static_cast<int>(type)];
+  }
+  int64_t size() const { return static_cast<int64_t>(map_.size()); }
+  /// Sum of the bound identity values' lengths.
+  int64_t value_bytes() const { return value_bytes_; }
+
+  /// Every binding (container and insertion order are those of the map).
+  const Map& map() const { return map_; }
+
+ private:
+  Map map_;
+  int64_t counts_[kIdentityTypeCount] = {};
+  int64_t value_bytes_ = 0;
 };
 
 /// Cost-model constants for the location stage realizations.
@@ -88,12 +128,19 @@ class LocationStage {
   virtual std::string Name() const = 0;
 };
 
-/// Identity-location maps, one ordered index per identity type (O(log N)).
+/// Identity-location maps, one index per identity type. The modelled lookup
+/// is an ordered-tree descent (O(log N) in the type's entry count) and the
+/// modelled RAM one entry per binding per instance; the host lookup is one
+/// hash probe into the shared IdentityIndex the stage reads.
 class ProvisionedLocationStage : public LocationStage {
  public:
-  explicit ProvisionedLocationStage(LocationCostModel model = LocationCostModel());
+  /// `index` must outlive the stage.
+  explicit ProvisionedLocationStage(const IdentityIndex* index,
+                                    LocationCostModel model = LocationCostModel());
 
   ResolveResult Resolve(const Identity& id, MicroTime now) override;
+  /// No-ops: the bindings live in the shared index, and its owner writes
+  /// them there once for every stage that reads it.
   Status Bind(const Identity& id, const LocationEntry& entry) override;
   Status Unbind(const Identity& id) override;
   int64_t EntryCount() const override;
@@ -104,7 +151,9 @@ class ProvisionedLocationStage : public LocationStage {
   // -- Scale-out synchronization (§3.4.2) -------------------------------------
 
   /// Starts copying all entries from `peer`; the stage is unavailable until
-  /// the copy completes. Returns the sync window duration.
+  /// the modelled copy completes (`peer.EntryCount() x sync_per_entry`).
+  /// On the host the stage simply reads the peer's index from now on.
+  /// Returns the sync window duration.
   MicroDuration BeginSyncFrom(const ProvisionedLocationStage& peer,
                               MicroTime now);
 
@@ -113,8 +162,8 @@ class ProvisionedLocationStage : public LocationStage {
   MicroTime sync_done_at() const { return sync_done_at_; }
 
  private:
+  const IdentityIndex* index_;
   LocationCostModel model_;
-  std::map<std::string, LocationEntry> index_[kIdentityTypeCount];
   MicroTime sync_done_at_ = 0;
 };
 

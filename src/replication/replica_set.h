@@ -101,6 +101,10 @@ struct BatchReadOp {
   storage::RecordKey key = 0;
   std::string attr;  ///< Empty: whole-record snapshot.
   ReadPreference pref = ReadPreference::kNearest;
+  /// Whole-record reads: copy only these attributes (sorted, unique ids;
+  /// must outlive the ReadBatch call). nullptr copies the whole record.
+  /// Staleness is judged on the whole record either way.
+  const std::vector<storage::AttrId>* projection = nullptr;
 };
 
 /// Outcome of a grouped write: the partition-group commits as one log-append
@@ -118,8 +122,9 @@ struct GroupWriteResult {
 /// charged once per group, not once per op).
 struct GroupReadResult {
   std::vector<ReadResult> per_op;  ///< Latency = engine service share only.
-  /// Whole-record payloads, index-aligned with per_op (ops with a non-empty
-  /// attr leave their slot empty and fill per_op[i].value instead).
+  /// Whole-record payloads (projected when the op asks), index-aligned with
+  /// per_op (ops with a non-empty attr leave their slot empty and fill
+  /// per_op[i].value instead).
   std::vector<std::optional<storage::Record>> records;
   MicroDuration latency = 0;  ///< Slowest replica transit + summed service.
   MicroDuration transit = 0;  ///< The slowest-replica share of `latency`.

@@ -47,6 +47,10 @@ struct Operation {
   std::vector<Mutation> mutations;  ///< kWrite (applied atomically).
   replication::ReadPreference read_pref =
       replication::ReadPreference::kNearest;
+  /// kReadRecord: the attributes the reader needs (sorted, unique ids); the
+  /// replica copies only these unless the read may seed a PoA cache. Empty:
+  /// the whole record.
+  std::vector<storage::AttrId> projection;
 
   bool IsRead() const { return kind != Kind::kWrite; }
 
@@ -104,7 +108,9 @@ struct OpOutcome {
   bool stale = false;              ///< Read served by a lagging slave copy.
   MicroDuration latency = 0;       ///< Op's own service share (no transit).
   uint32_t served_by = 0;          ///< Replica that executed the op.
-  std::optional<storage::Record> record;  ///< kReadRecord payload.
+  /// kReadRecord payload: the whole record, or its projection when the op
+  /// carried one and was served by a replica.
+  std::optional<storage::Record> record;
   std::optional<storage::Value> value;    ///< kReadAttribute payload.
   storage::CommitSeq seq = 0;             ///< kWrite commit sequence.
 

@@ -152,22 +152,22 @@ location::LocationStage* Router::StageAtSite(sim::SiteId site) const {
 }
 
 StatusOr<LocationEntry> Router::AuthoritativeLookup(const Identity& id) const {
-  auto it = authoritative_.find(id);
-  if (it == authoritative_.end()) {
+  const LocationEntry* entry = authoritative_.Find(id);
+  if (entry == nullptr) {
     return Status::NotFound("identity " + id.ToString() + " not provisioned");
   }
-  return it->second;
+  return *entry;
 }
 
 void Router::Bind(const Identity& id, const LocationEntry& entry) {
-  authoritative_[id] = entry;
+  authoritative_.Bind(id, entry);
   for (const Poa& poa : poas_) {
     if (poa.stage != nullptr) (void)poa.stage->Bind(id, entry);
   }
 }
 
 void Router::Unbind(const Identity& id) {
-  authoritative_.erase(id);
+  authoritative_.Unbind(id);
   // An unbound identity must not pin a bypass exception: the exception list
   // exists to protect live bindings the hash would misroute, and a leaked
   // entry would linger forever (and silently disable the fast path if the
@@ -368,6 +368,13 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
       ro.key = o.key;
       if (op.kind == Operation::Kind::kReadAttribute) ro.attr = op.attr;
       ro.pref = op.read_pref;
+      // A read that may seed this PoA's cache copies the whole record.
+      const bool may_populate =
+          cache != nullptr &&
+          op.read_pref == replication::ReadPreference::kNearest;
+      if (!op.projection.empty() && !may_populate) {
+        ro.projection = &op.projection;
+      }
       read_ops.push_back(std::move(ro));
       run_idx.push_back(i);
     }

@@ -7,8 +7,10 @@
 //   * PoA selection: nearest reachable Point of Access for a client site;
 //   * identity resolution at a PoA's data location stage instance (§3.3.1
 //     decision 1: resolution never leaves the PoA);
-//   * the authoritative identity -> location map (what a broadcast over all
-//     SEs would answer) and bind/unbind fan-out to every PoA stage;
+//   * the authoritative identity -> location index (what a broadcast over
+//     all SEs would answer) — the one identity index of the UDR: every
+//     provisioned location stage resolves against it — and bind/unbind
+//     fan-out to the PoA stages that keep state of their own;
 //   * the final hop: LocationEntry -> owning replication::ReplicaSet via the
 //     PartitionMap.
 //
@@ -116,7 +118,12 @@ class Router {
   StatusOr<location::LocationEntry> AuthoritativeLookup(
       const location::Identity& id) const;
   bool IsBound(const location::Identity& id) const {
-    return authoritative_.count(id) > 0;
+    return authoritative_.Contains(id);
+  }
+
+  /// The authoritative index provisioned location stages resolve against.
+  const location::IdentityIndex* identity_index() const {
+    return &authoritative_;
   }
 
   /// Read-only view of every authoritative binding (used by the deployment
@@ -124,7 +131,7 @@ class Router {
   const std::unordered_map<location::Identity, location::LocationEntry,
                            location::IdentityHasher>&
   bindings() const {
-    return authoritative_;
+    return authoritative_.map();
   }
 
   /// Records a binding authoritatively and at every PoA stage.
@@ -277,9 +284,7 @@ class Router {
   std::unordered_set<location::Identity, location::IdentityHasher>
       bypass_exceptions_;
   std::vector<Poa> poas_;
-  std::unordered_map<location::Identity, location::LocationEntry,
-                     location::IdentityHasher>
-      authoritative_;
+  location::IdentityIndex authoritative_;
 };
 
 }  // namespace udr::routing

@@ -122,7 +122,6 @@ void Engine::FeTick(MicroTime now) {
   const int burst = storm ? storm_events_ : 1;
   for (int b = 0; b < burst; ++b) {
     uint64_t index = subscriber_pick_.Next(rng_);
-    telecom::Subscriber sub = bed_.factory().Make(index);
     sim::SiteId serving = bed_.HomeSiteOf(index);
     if (now < wave_until_ && rng_.Bernoulli(wave_fraction_)) {
       serving = wave_site_;
@@ -135,8 +134,8 @@ void Engine::FeTick(MicroTime now) {
       fe.set_deferred(true);
       int64_t stamp = ++next_stamp_;
       Dispatch(&fe,
-               fe.UpdateLocation(sub.ImsiId(), "vlr" + std::to_string(serving),
-                                 stamp),
+               fe.UpdateLocation(bed_.factory().ImsiId(index),
+                                 "vlr" + std::to_string(serving), stamp),
                /*is_write=*/true, /*storm=*/true, index, stamp);
       fe.set_deferred(was_deferred);
       continue;
@@ -145,8 +144,9 @@ void Engine::FeTick(MicroTime now) {
     // so the ledger audit can read it back from the master copy.
     int64_t stamp = 0;
     workload::IssuedFe issued = workload::IssueFeProcedure(
-        rng_, spec_.ims_fraction, sub, serving, *hlr_fes_[serving],
-        *hss_fes_[serving], [&]() { return stamp = ++next_stamp_; });
+        rng_, spec_.ims_fraction, bed_.factory(), index, serving,
+        *hlr_fes_[serving], *hss_fes_[serving],
+        [&]() { return stamp = ++next_stamp_; });
     Dispatch(issued.fe, std::move(issued.result), issued.write, false, index,
              stamp);
   }

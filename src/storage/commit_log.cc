@@ -33,28 +33,13 @@ void CommitLog::ReplayRange(RecordStore* store, CommitSeq from_seq,
                             CommitSeq to_seq) const {
   assert(to_seq <= LastSeq());
   for (CommitSeq s = from_seq + 1; s <= to_seq; ++s) {
-    for (const WriteOp& op : At(s).ops) ApplyWriteOp(store, op);
+    store->ApplyWrites(At(s).ops);
   }
 }
 
 void CommitLog::TruncateAfter(CommitSeq seq) {
   if (seq >= LastSeq()) return;
   entries_.resize(seq);
-}
-
-void ApplyWriteOp(RecordStore* store, const WriteOp& op) {
-  switch (op.kind) {
-    case WriteKind::kUpsertAttr:
-      store->SetAttribute(op.key, op.attr_id, op.attribute.value,
-                          op.attribute.modified_at, op.attribute.writer);
-      break;
-    case WriteKind::kRemoveAttr:
-      store->RemoveAttribute(op.key, op.attr_id);
-      break;
-    case WriteKind::kDeleteRecord:
-      store->DeleteRecord(op.key);
-      break;
-  }
 }
 
 int64_t WriteOpWireBytes(const WriteOp& op) {

@@ -97,9 +97,6 @@ class CommitLog {
   std::vector<LogEntry> entries_;
 };
 
-/// Applies one write op to a store (shared by replay and replication).
-void ApplyWriteOp(RecordStore* store, const WriteOp& op);
-
 }  // namespace udr::storage
 
 #endif  // UDR_STORAGE_COMMIT_LOG_H_

@@ -126,6 +126,29 @@ bool Record::RemoveById(AttrId id) {
   return true;
 }
 
+Record Record::Projected(const std::vector<AttrId>& ids) const {
+  Record out;
+  out.version_ = version_;
+  out.attrs_.reserve(std::min(ids.size(), attrs_.size()));
+  for (AttrId id : ids) {
+    size_t pos = LowerBound(id);
+    if (pos < attrs_.size() && attrs_[pos].name_id == id) {
+      out.attrs_.push_back(attrs_[pos]);
+    }
+  }
+  return out;
+}
+
+void Record::Retain(const std::vector<AttrId>& ids) {
+  attrs_.erase(std::remove_if(attrs_.begin(), attrs_.end(),
+                              [&ids](const PackedAttr& e) {
+                                return !std::binary_search(ids.begin(),
+                                                           ids.end(),
+                                                           e.name_id);
+                              }),
+               attrs_.end());
+}
+
 const Attribute* Record::Find(std::string_view name) const {
   AttrId id = AttrPool::Global().Lookup(name);
   return id == kInvalidAttrId ? nullptr : FindById(id);

@@ -106,6 +106,15 @@ class Record {
 
   bool Has(std::string_view name) const { return Find(name) != nullptr; }
 
+  /// Pre-sizes the entry storage for `n` attributes.
+  void Reserve(size_t n) { attrs_.reserve(n); }
+
+  /// Copy of only the attributes whose ids are in `ids` (sorted, unique),
+  /// allocated at that size; same version.
+  Record Projected(const std::vector<AttrId>& ids) const;
+  /// Drops every attribute whose id is not in `ids` (sorted, unique).
+  void Retain(const std::vector<AttrId>& ids);
+
   /// Packed entries, sorted by interned name id.
   const std::vector<PackedAttr>& entries() const { return attrs_; }
   size_t attribute_count() const { return attrs_.size(); }

@@ -48,6 +48,55 @@ void RecordStore::RemoveAttribute(RecordKey key, AttrId attr_id) {
   AccountAdd(it->second);
 }
 
+void RecordStore::ApplyWrites(const std::vector<WriteOp>& ops) {
+  size_t begin = 0;
+  while (begin < ops.size()) {
+    const RecordKey key = ops[begin].key;
+    size_t end = begin + 1;
+    while (end < ops.size() && ops[end].key == key) ++end;
+    auto it = records_.find(key);
+    Record* rec = nullptr;
+    if (it != records_.end()) {
+      rec = &it->second;
+      AccountRemove(*rec);
+    }
+    for (size_t i = begin; i < end; ++i) {
+      const WriteOp& op = ops[i];
+      switch (op.kind) {
+        case WriteKind::kUpsertAttr:
+          if (rec == nullptr) {
+            // Size the new record for every upsert up to the run's next
+            // delete, so it never regrows while the write set fills it.
+            size_t upserts = 0;
+            for (size_t j = i; j < end; ++j) {
+              if (ops[j].kind == WriteKind::kDeleteRecord) break;
+              if (ops[j].kind == WriteKind::kUpsertAttr) ++upserts;
+            }
+            it = records_.try_emplace(key).first;
+            rec = &it->second;
+            rec->Reserve(upserts);
+          }
+          rec->SetById(op.attr_id, op.attribute.value, op.attribute.modified_at,
+                       op.attribute.writer);
+          rec->bump_version();
+          break;
+        case WriteKind::kRemoveAttr:
+          if (rec == nullptr) break;
+          rec->RemoveById(op.attr_id);
+          rec->bump_version();
+          break;
+        case WriteKind::kDeleteRecord:
+          if (rec == nullptr) break;
+          records_.erase(it);
+          rec = nullptr;
+          break;
+      }
+    }
+    if (rec != nullptr) AccountAdd(*rec);
+    begin = end;
+  }
+}
+
 const Attribute* RecordStore::FindAttribute(RecordKey key,
                                             std::string_view name) const {
   auto it = records_.find(key);

@@ -9,7 +9,10 @@
 #include <string_view>
 #include <unordered_map>
 
+#include <vector>
+
 #include "common/status.h"
+#include "storage/commit_log.h"
 #include "storage/record.h"
 
 namespace udr::storage {
@@ -45,6 +48,16 @@ class RecordStore {
   /// std::string construction anywhere. nullptr when record or attribute is
   /// absent.
   const Attribute* FindAttribute(RecordKey key, std::string_view name) const;
+
+  /// Applies a write set in order — the one apply path of commits, log
+  /// replay, replication, migration and merges. Each run of consecutive
+  /// same-key ops costs one hash lookup and one byte-accounting update; a
+  /// record the run creates is allocated at its upsert count. The outcome
+  /// (records, versions, ApproxBytes(), ForEach order) equals applying the
+  /// ops one at a time: an upsert creates the record and bumps its version,
+  /// a remove on a present record bumps it (on an absent one it does
+  /// nothing), a delete drops the record.
+  void ApplyWrites(const std::vector<WriteOp>& ops);
 
   /// Inserts or replaces a whole record.
   void PutRecord(RecordKey key, Record record);

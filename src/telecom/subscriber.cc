@@ -18,14 +18,17 @@ std::string SubscriberFactory::MsisdnOf(uint64_t index) const {
                    static_cast<unsigned long long>(index + 1));
 }
 
+std::string SubscriberFactory::SipImpuOf(const std::string& msisdn) const {
+  return "sip:" + msisdn +
+         StrFormat("@ims.mnc%03d.mcc%03d.3gppnetwork.org", mnc_, mcc_);
+}
+
 Subscriber SubscriberFactory::Make(uint64_t index) const {
   Subscriber s;
   s.imsi = ImsiOf(index);
   s.msisdn = MsisdnOf(index);
   s.impi = s.imsi + StrFormat("@ims.mnc%03d.mcc%03d.3gppnetwork.org", mnc_, mcc_);
-  s.impus = {"sip:" + s.msisdn + StrFormat("@ims.mnc%03d.mcc%03d.3gppnetwork.org",
-                                           mnc_, mcc_),
-             "tel:" + s.msisdn};
+  s.impus = {SipImpuOf(s.msisdn), "tel:" + s.msisdn};
 
   Rng rng(seed_ ^ (index * 0x9E3779B97F4A7C15ULL + 1));
   storage::Record& p = s.profile;

@@ -79,7 +79,22 @@ class SubscriberFactory {
   /// MSISDN of subscriber `index`.
   std::string MsisdnOf(uint64_t index) const;
 
+  /// The identities FE procedures address, equal to Make(index).ImsiId(),
+  /// .MsisdnId() and .ImpuId() but built without the profile.
+  location::Identity ImsiId(uint64_t index) const {
+    return {location::IdentityType::kImsi, ImsiOf(index)};
+  }
+  location::Identity MsisdnId(uint64_t index) const {
+    return {location::IdentityType::kMsisdn, MsisdnOf(index)};
+  }
+  location::Identity ImpuId(uint64_t index) const {
+    return {location::IdentityType::kImpu, SipImpuOf(MsisdnOf(index))};
+  }
+
  private:
+  /// The SIP IMPU (the first of a subscriber's IMPUs) of an MSISDN.
+  std::string SipImpuOf(const std::string& msisdn) const;
+
   uint64_t seed_;
   int mcc_;
   int mnc_;

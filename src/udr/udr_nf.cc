@@ -132,7 +132,7 @@ UdrNf::~UdrNf() = default;
 std::unique_ptr<location::LocationStage> UdrNf::MakeLocationStage() {
   if (config_.location_kind == LocationKind::kProvisioned) {
     return std::make_unique<location::ProvisionedLocationStage>(
-        config_.location_model);
+        router_.identity_index(), config_.location_model);
   }
   return std::make_unique<location::CachedLocationStage>(
       [this](const Identity& id) { return router_.AuthoritativeLookup(id); },
@@ -771,7 +771,8 @@ std::optional<ldap::LdapBatchResult> UdrNf::TakeEvent(uint64_t handle) {
   return out;
 }
 
-StatusOr<Identity> UdrNf::RequestIdentity(const LdapRequest& request) const {
+StatusOr<Identity> UdrNf::RequestIdentity(const LdapRequest& request,
+                                          const ldap::Filter* filter) const {
   // Base-object operations name the subscriber in the DN leaf.
   if (!request.dn.empty()) {
     const ldap::Rdn& leaf = request.dn.leaf();
@@ -782,14 +783,12 @@ StatusOr<Identity> UdrNf::RequestIdentity(const LdapRequest& request) const {
   }
   // Single-level searches under ou=subscribers use an equality filter on an
   // identity attribute (the SLF-style lookup pattern).
-  if (request.op == ldap::LdapOp::kSearch &&
-      request.scope == ldap::SearchScope::kSingleLevel) {
-    auto filter = ldap::Filter::Parse(request.filter);
-    if (filter.ok() && filter->kind() == ldap::Filter::Kind::kEquality) {
-      auto type = IdentityTypeForAttr(filter->attr());
-      if (type.has_value()) {
-        return Identity{*type, filter->value()};
-      }
+  if (filter != nullptr && request.op == ldap::LdapOp::kSearch &&
+      request.scope == ldap::SearchScope::kSingleLevel &&
+      filter->kind() == ldap::Filter::Kind::kEquality) {
+    auto type = IdentityTypeForAttr(filter->attr());
+    if (type.has_value()) {
+      return Identity{*type, filter->value()};
     }
   }
   return Status::InvalidArgument(
@@ -804,31 +803,99 @@ ReadPreference UdrNf::ReadPrefFor(const LdapRequest& request) const {
   return ReadPreference::kNearest;
 }
 
+namespace {
+
+/// (objectclass=*): every entry matches and no attribute is tested.
+bool MatchesEverything(const ldap::Filter& filter) {
+  return filter.kind() == ldap::Filter::Kind::kPresence &&
+         filter.attr() == "objectclass";
+}
+
+/// Appends the ids of `names` to `ids`; false when a name is not interned.
+bool AppendAttrIds(const std::vector<std::string>& names,
+                   std::vector<storage::AttrId>* ids) {
+  bool all = true;
+  for (const std::string& name : names) {
+    const storage::AttrId id = storage::LookupAttr(name);
+    if (id == storage::kInvalidAttrId) {
+      all = false;
+    } else {
+      ids->push_back(id);
+    }
+  }
+  return all;
+}
+
+/// Appends the ids of every attribute `filter` tests; false when one is not
+/// interned.
+bool AppendFilterAttrIds(const ldap::Filter& filter,
+                         std::vector<storage::AttrId>* ids) {
+  if (filter.children().empty()) {
+    const storage::AttrId id = storage::LookupAttr(filter.attr());
+    if (id == storage::kInvalidAttrId) return false;
+    ids->push_back(id);
+    return true;
+  }
+  for (const ldap::Filter& child : filter.children()) {
+    if (!AppendFilterAttrIds(child, ids)) return false;
+  }
+  return true;
+}
+
+void SortUnique(std::vector<storage::AttrId>* ids) {
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
+}  // namespace
+
+std::vector<storage::AttrId> UdrNf::CompileSearch(const LdapRequest& request,
+                                                  CompiledSearch* out) const {
+  auto filter = ldap::Filter::Parse(request.filter);
+  if (filter.ok()) {
+    out->filter = *std::move(filter);
+  } else {
+    out->filter_error = filter.status();
+  }
+  out->requested_resolved =
+      AppendAttrIds(request.requested_attrs, &out->requested);
+  SortUnique(&out->requested);
+  if (request.requested_attrs.empty() || !out->requested_resolved ||
+      !out->filter.has_value()) {
+    return {};
+  }
+  std::vector<storage::AttrId> projection = out->requested;
+  if (!MatchesEverything(*out->filter)) {
+    if (!AppendFilterAttrIds(*out->filter, &projection)) return {};
+    SortUnique(&projection);
+  }
+  return projection;
+}
+
 LdapResult UdrNf::SearchResultFor(const LdapRequest& request,
+                                  const CompiledSearch& search,
                                   storage::Record&& record) const {
   LdapResult r;
-  auto filter = ldap::Filter::Parse(request.filter);
-  if (!filter.ok()) {
+  if (!search.filter.has_value()) {
     r.code = LdapResultCode::kProtocolError;
-    r.diagnostic = filter.status().message();
+    r.diagnostic = search.filter_error.message();
     return r;
   }
-  bool matches = filter->kind() == ldap::Filter::Kind::kPresence &&
-                         filter->attr() == "objectclass"
-                     ? true
-                     : filter->Matches(record);
-  if (matches) {
+  if (MatchesEverything(*search.filter) || search.filter->Matches(record)) {
     ldap::SearchEntry entry;
     entry.dn = request.dn;
-    if (request.requested_attrs.empty()) {
-      entry.record = std::move(record);
-    } else {
-      for (const std::string& attr : request.requested_attrs) {
-        const storage::Attribute* a = record.Find(attr);
-        if (a != nullptr) {
-          entry.record.Set(attr, a->value, a->modified_at, a->writer);
-        }
+    entry.record = std::move(record);
+    if (!request.requested_attrs.empty()) {
+      // The entry carries only the requested attributes, as a fresh record.
+      // Names not interned at translation are looked up again: a write may
+      // have interned one since.
+      std::vector<storage::AttrId> late;
+      if (!search.requested_resolved) {
+        AppendAttrIds(request.requested_attrs, &late);
+        SortUnique(&late);
       }
+      entry.record.Retain(search.requested_resolved ? search.requested : late);
+      entry.record.set_version(0);
     }
     r.entries.push_back(std::move(entry));
   }
@@ -902,12 +969,21 @@ StatusOr<std::vector<routing::Mutation>> UdrNf::MutationsFrom(
 // ---------------------------------------------------------------------------
 
 StatusOr<routing::Operation> UdrNf::OperationFrom(
-    const LdapRequest& request) const {
-  UDR_ASSIGN_OR_RETURN(Identity identity, RequestIdentity(request));
+    const LdapRequest& request, CompiledSearch* search) const {
+  std::vector<storage::AttrId> projection;
+  if (request.op == ldap::LdapOp::kSearch) {
+    projection = CompileSearch(request, search);
+  }
+  UDR_ASSIGN_OR_RETURN(
+      Identity identity,
+      RequestIdentity(request, search->filter ? &*search->filter : nullptr));
   switch (request.op) {
-    case ldap::LdapOp::kSearch:
-      return routing::Operation::ReadRecord(std::move(identity),
-                                            ReadPrefFor(request));
+    case ldap::LdapOp::kSearch: {
+      routing::Operation op = routing::Operation::ReadRecord(
+          std::move(identity), ReadPrefFor(request));
+      op.projection = std::move(projection);
+      return op;
+    }
     case ldap::LdapOp::kCompare:
       return routing::Operation::ReadAttribute(
           std::move(identity), request.compare_attr, ReadPrefFor(request));
@@ -924,6 +1000,7 @@ StatusOr<routing::Operation> UdrNf::OperationFrom(
 }
 
 LdapResult UdrNf::ResultFromOutcome(const LdapRequest& request,
+                                    const CompiledSearch& search,
                                     routing::OpOutcome& outcome) {
   LdapResult r;
   r.latency = outcome.latency;
@@ -941,7 +1018,7 @@ LdapResult UdrNf::ResultFromOutcome(const LdapRequest& request,
         r.diagnostic = "record missing from batch outcome";
         return r;
       }
-      r = SearchResultFor(request, *std::move(outcome.record));
+      r = SearchResultFor(request, search, *std::move(outcome.record));
       r.latency = outcome.latency;
       r.stale = outcome.stale;
       if (r.ok()) search_ok_.Add();
@@ -997,7 +1074,7 @@ LdapResult UdrNf::FinishSlot(const LdapRequest& request, RequestSlot& slot,
                              std::vector<routing::OpOutcome>& outcomes) {
   switch (slot.kind) {
     case RequestSlot::Kind::kPipeline:
-      return ResultFromOutcome(request, outcomes[slot.op]);
+      return ResultFromOutcome(request, slot.search, outcomes[slot.op]);
     case RequestSlot::Kind::kDelete:
       return FinishBatchedDelete(slot.identity, outcomes[slot.op],
                                  outcomes[slot.write_op]);
@@ -1014,7 +1091,7 @@ UdrNf::RequestSlot UdrNf::SlotFor(const LdapRequest& request,
     case ldap::LdapOp::kSearch:
     case ldap::LdapOp::kCompare:
     case ldap::LdapOp::kModify: {
-      auto op = OperationFrom(request);
+      auto op = OperationFrom(request, &slot.search);
       if (!op.ok()) {
         slot.inline_result.code = StatusToLdapCode(op.status());
         slot.inline_result.diagnostic = op.status().message();
@@ -1026,7 +1103,7 @@ UdrNf::RequestSlot UdrNf::SlotFor(const LdapRequest& request,
       return slot;
     }
     case ldap::LdapOp::kDelete: {
-      auto identity = RequestIdentity(request);
+      auto identity = RequestIdentity(request, nullptr);
       if (!identity.ok()) {
         slot.inline_result.code = StatusToLdapCode(identity.status());
         slot.inline_result.diagnostic = identity.status().message();

@@ -30,6 +30,7 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "ldap/filter.h"
 #include "ldap/message.h"
 #include "location/identity.h"
 #include "location/location_stage.h"
@@ -446,16 +447,38 @@ class UdrNf {
   /// The one inline verb: creates the subscription the Add names.
   ldap::LdapResult DoAdd(const ldap::LdapRequest& request, uint32_t poa_site);
 
-  /// Resolves the identity named by a request's DN (or filter) at the PoA.
+  /// Resolves the identity named by a request's DN, or by the equality
+  /// `filter` of a single-level Search (nullptr: no parsed filter).
   StatusOr<location::Identity> RequestIdentity(
-      const ldap::LdapRequest& request) const;
+      const ldap::LdapRequest& request, const ldap::Filter* filter) const;
 
   replication::ReadPreference ReadPrefFor(const ldap::LdapRequest& request) const;
 
+  /// A Search translated once at the LDAP boundary: its filter parsed and
+  /// its requested attribute names resolved to ids.
+  struct CompiledSearch {
+    std::optional<ldap::Filter> filter;  ///< nullopt: `filter_error` says why.
+    Status filter_error;
+    /// Ids of the requested attributes (sorted, unique); complete when
+    /// `requested_resolved` (every requested name was interned).
+    std::vector<storage::AttrId> requested;
+    bool requested_resolved = false;
+  };
+
+  /// Compiles `request` (a Search) into `out`. Returns the ids the replica
+  /// must copy: the requested attributes plus every attribute the filter
+  /// tests (sorted, unique). Empty means the whole record: no attribute
+  /// list, or a name no record holds yet (not interned), which a coalesced
+  /// write could intern before the read runs.
+  std::vector<storage::AttrId> CompileSearch(const ldap::LdapRequest& request,
+                                             CompiledSearch* out) const;
+
   /// Filter match + attribute projection over a fetched record (the verb
-  /// semantics of Search after the data path returned the record). Latency
-  /// and staleness are the caller's to fill.
+  /// semantics of Search after the data path returned the record, which may
+  /// already be projected to the ids CompileSearch returned). Latency and
+  /// staleness are the caller's to fill.
   ldap::LdapResult SearchResultFor(const ldap::LdapRequest& request,
+                                   const CompiledSearch& search,
                                    storage::Record&& record) const;
 
   /// Translates a Modify request into pipeline mutations; FailedPrecondition
@@ -463,13 +486,15 @@ class UdrNf {
   StatusOr<std::vector<routing::Mutation>> MutationsFrom(
       const ldap::LdapRequest& request) const;
 
-  /// Translates one batchable request into a pipeline operation.
-  StatusOr<routing::Operation> OperationFrom(
-      const ldap::LdapRequest& request) const;
+  /// Translates one batchable request into a pipeline operation; a Search
+  /// is compiled into `search` on the way.
+  StatusOr<routing::Operation> OperationFrom(const ldap::LdapRequest& request,
+                                             CompiledSearch* search) const;
 
   /// Maps one pipeline outcome back onto the request's LDAP result and
   /// counts the per-verb metrics. A fetched record moves into the result.
   ldap::LdapResult ResultFromOutcome(const ldap::LdapRequest& request,
+                                     const CompiledSearch& search,
                                      routing::OpOutcome& outcome);
 
   /// How one request of a multi-op event maps onto the pipeline batch.
@@ -485,6 +510,7 @@ class UdrNf {
     size_t write_op = 0;
     location::Identity identity;     ///< kDelete: DN identity to unbind.
     ldap::LdapResult inline_result;  ///< kInline.
+    CompiledSearch search;           ///< kPipeline Search.
   };
 
   /// Completes a pipeline-routed Delete from its two outcomes: maps failures

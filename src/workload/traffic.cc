@@ -75,7 +75,6 @@ TrafficReport RunTraffic(Testbed& bed, const TrafficOptions& opts) {
   arrivals.fe = [&](MicroTime) {
     for (int b = 0; b < burst; ++b) {
       uint64_t index = subscriber_pick.Next(rng);
-      telecom::Subscriber sub = bed.factory().Make(index);
       sim::SiteId home = bed.HomeSiteOf(index);
       sim::SiteId serving = home;
       if (bed.options().sites > 1 && rng.Bernoulli(opts.roaming_fraction)) {
@@ -84,8 +83,8 @@ TrafficReport RunTraffic(Testbed& bed, const TrafficOptions& opts) {
             bed.options().sites);
       }
       IssuedFe issued = IssueFeProcedure(
-          rng, opts.ims_fraction, sub, serving, *hlr_fes[serving],
-          *hss_fes[serving], [&]() {
+          rng, opts.ims_fraction, bed.factory(), index, serving,
+          *hlr_fes[serving], *hss_fes[serving], [&]() {
             return static_cast<int64_t>(serving * 100 + rng.Uniform(100));
           });
       ClassStats& cls = issued.write ? report.fe_write : report.fe_read;
@@ -123,28 +122,34 @@ TrafficReport RunTraffic(Testbed& bed, const TrafficOptions& opts) {
 }
 
 IssuedFe IssueFeProcedure(Rng& rng, double ims_fraction,
-                          const telecom::Subscriber& sub, sim::SiteId serving,
-                          HlrFe& hlr, HssFe& hss,
+                          const telecom::SubscriberFactory& factory,
+                          uint64_t index, sim::SiteId serving, HlrFe& hlr,
+                          HssFe& hss,
                           const std::function<int64_t()>& location_area) {
   if (rng.Bernoulli(ims_fraction)) {
     double pick = rng.NextDouble();
-    if (pick < 0.55) return {&hss, hss.ImsLocate(sub.ImpuId()), false};
+    if (pick < 0.55) return {&hss, hss.ImsLocate(factory.ImpuId(index)), false};
     if (pick < 0.80) {
       return {&hss,
-              hss.ImsRegister(sub.ImpuId(), "scscf" + std::to_string(serving)),
+              hss.ImsRegister(factory.ImpuId(index),
+                              "scscf" + std::to_string(serving)),
               true};
     }
-    return {&hss, hss.ImsDeregister(sub.ImpuId()), true};
+    return {&hss, hss.ImsDeregister(factory.ImpuId(index)), true};
   }
   double pick = rng.NextDouble();
-  if (pick < 0.35) return {&hlr, hlr.Authenticate(sub.ImsiId()), false};
-  if (pick < 0.55) return {&hlr, hlr.SendRoutingInfo(sub.MsisdnId()), false};
-  if (pick < 0.70) return {&hlr, hlr.SmsRouting(sub.MsisdnId()), false};
-  if (pick < 0.80) return {&hlr, hlr.InterrogateSs(sub.MsisdnId()), false};
+  if (pick < 0.35) return {&hlr, hlr.Authenticate(factory.ImsiId(index)), false};
+  if (pick < 0.55) {
+    return {&hlr, hlr.SendRoutingInfo(factory.MsisdnId(index)), false};
+  }
+  if (pick < 0.70) return {&hlr, hlr.SmsRouting(factory.MsisdnId(index)), false};
+  if (pick < 0.80) {
+    return {&hlr, hlr.InterrogateSs(factory.MsisdnId(index)), false};
+  }
   const int64_t area = location_area();
   return {&hlr,
-          hlr.UpdateLocation(sub.ImsiId(), "vlr" + std::to_string(serving),
-                             area),
+          hlr.UpdateLocation(factory.ImsiId(index),
+                             "vlr" + std::to_string(serving), area),
           true};
 }
 

@@ -130,10 +130,13 @@ struct IssuedFe {
 /// Bernoulli(ims_fraction) picks IMS, then NextDouble() the procedure: IMS
 /// 55% locate, 25% register, 20% deregister; HLR 35% authenticate, 20%
 /// routing info, 15% SMS routing, 10% interrogate, 20% update-location —
-/// and issues it for `sub` on the `serving` site's FE pair. Only an update
-/// calls `location_area`, after the draws, for its argument.
+/// and issues it for subscriber `index` of `factory` on the `serving` site's
+/// FE pair. Only the one identity the procedure addresses is built (no
+/// profile). Only an update calls `location_area`, after the draws, for its
+/// argument.
 IssuedFe IssueFeProcedure(Rng& rng, double ims_fraction,
-                          const telecom::Subscriber& sub, sim::SiteId serving,
+                          const telecom::SubscriberFactory& factory,
+                          uint64_t index, sim::SiteId serving,
                           telecom::HlrFe& hlr, telecom::HssFe& hss,
                           const std::function<int64_t()>& location_area);
 

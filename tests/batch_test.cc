@@ -10,8 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "ldap/dn.h"
+#include "ldap/filter.h"
 #include "routing/batch.h"
+#include "routing/poa_cache.h"
 #include "routing/router.h"
 #include "telecom/front_end.h"
 #include "telecom/subscriber.h"
@@ -210,6 +213,35 @@ TEST(GroupReadTest, MixedPreferencesAndMissingKeysAreIsolated) {
   EXPECT_TRUE(group.per_op[1].value.has_value());
   EXPECT_TRUE(group.per_op[2].status.IsNotFound());
   EXPECT_GT(group.latency, 0);
+}
+
+TEST(GroupReadTest, ProjectedReadCopiesOnlyTheListedAttributes) {
+  workload::Testbed bed(BaseOptions(6));
+  Settle(bed);
+  auto loc = bed.udr().AuthoritativeLookup(bed.factory().Make(2).ImsiId());
+  ASSERT_TRUE(loc.ok());
+  replication::ReplicaSet* rs = bed.udr().partition(loc->partition);
+  std::vector<storage::AttrId> ids = {storage::LookupAttr("imsi"),
+                                      storage::LookupAttr("sqn")};
+  std::sort(ids.begin(), ids.end());
+
+  std::vector<replication::BatchReadOp> ops;
+  ops.push_back({loc->key, "", ReadPreference::kNearest});
+  ops.push_back({loc->key, "", ReadPreference::kNearest, &ids});
+  replication::GroupReadResult group = rs->ReadBatch(1, ops);
+  ASSERT_TRUE(group.records[0].has_value());
+  ASSERT_TRUE(group.records[1].has_value());
+  const storage::Record& whole = *group.records[0];
+  const storage::Record& projected = *group.records[1];
+  EXPECT_EQ(projected.attribute_count(), 2u);
+  for (storage::AttrId id : ids) {
+    ASSERT_NE(projected.FindById(id), nullptr);
+    EXPECT_TRUE(*projected.FindById(id) == *whole.FindById(id));
+  }
+  EXPECT_EQ(projected.version(), whole.version());
+  EXPECT_EQ(group.per_op[0].latency, group.per_op[1].latency);
+  EXPECT_EQ(group.per_op[0].stale, group.per_op[1].stale);
+  EXPECT_EQ(group.per_op[0].served_by, group.per_op[1].served_by);
 }
 
 // ---------------------------------------------------------------------------
@@ -796,6 +828,201 @@ TEST(SingleOpPathTest, ProcessEqualsBatchOfOneForEveryVerb) {
   EXPECT_EQ(submit_ref.metrics().Get("udr.submit.ok") +
                 submit_ref.metrics().Get("udr.submit.failed"),
             static_cast<int64_t>(cases.size()));
+}
+
+// ---------------------------------------------------------------------------
+// Replica-side projection: a projected Search equals the whole-record read
+// ---------------------------------------------------------------------------
+
+/// What a Search must return, built from ReplicaSet::ReadRecord's whole
+/// record: the resolve cost plus the replica read's latency, its stale flag,
+/// and the filter match + attribute selection applied to the whole record.
+ldap::LdapResult WholeRecordReference(udrnf::UdrNf& udr,
+                                      const ldap::LdapRequest& req,
+                                      const Identity& id, sim::SiteId site) {
+  ldap::LdapResult r;
+  location::ResolveResult loc = udr.router().ResolveAt(id, site);
+  if (!loc.status.ok()) {
+    r.code = ldap::StatusToLdapCode(loc.status);
+    return r;
+  }
+  replication::ReplicaSet* rs = udr.partition(loc.entry.partition);
+  replication::ReadResult meta;
+  auto rec = rs->ReadRecord(site, loc.entry.key, ReadPreference::kNearest,
+                            &meta);
+  r.latency = loc.cost + meta.latency;
+  r.stale = meta.stale;
+  if (!rec.ok()) {
+    r.code = ldap::StatusToLdapCode(rec.status());
+    return r;
+  }
+  auto filter = ldap::Filter::Parse(req.filter);
+  if (!filter.ok()) {
+    r.code = ldap::LdapResultCode::kProtocolError;
+    return r;
+  }
+  const bool match_all = filter->kind() == ldap::Filter::Kind::kPresence &&
+                         filter->attr() == "objectclass";
+  if (match_all || filter->Matches(*rec)) {
+    ldap::SearchEntry entry;
+    entry.dn = req.dn;
+    if (req.requested_attrs.empty()) {
+      entry.record = *rec;
+    } else {
+      for (const std::string& name : req.requested_attrs) {
+        const storage::Attribute* a = rec->Find(name);
+        if (a != nullptr) {
+          entry.record.Set(name, a->value, a->modified_at, a->writer);
+        }
+      }
+    }
+    r.entries.push_back(std::move(entry));
+  }
+  r.code = ldap::LdapResultCode::kSuccess;
+  return r;
+}
+
+void ExpectSameSearch(const ldap::LdapResult& got, const ldap::LdapResult& want,
+                      const std::string& label) {
+  EXPECT_EQ(got.code, want.code) << label << ": " << got.diagnostic;
+  EXPECT_EQ(got.latency, want.latency) << label;
+  EXPECT_EQ(got.stale, want.stale) << label;
+  ASSERT_EQ(got.entries.size(), want.entries.size()) << label;
+  for (size_t i = 0; i < got.entries.size(); ++i) {
+    EXPECT_EQ(got.entries[i].dn, want.entries[i].dn) << label;
+    // Record equality covers names, values, modified_at and writer.
+    EXPECT_TRUE(got.entries[i].record == want.entries[i].record) << label;
+    EXPECT_EQ(got.entries[i].record.version(),
+              want.entries[i].record.version())
+        << label;
+  }
+}
+
+/// Runs a seeded mix of Searches through UdrNf::Process and checks each
+/// against the whole-record reference. With a PoA cache configured, reads
+/// that may seed it copy whole records, and cache hits are checked against
+/// the master copy at the hit cost.
+void RunProjectionDifferential(bool poa_cache) {
+  workload::TestbedOptions o = BaseOptions(30);
+  o.pin_home_sites = true;
+  if (poa_cache) {
+    o.udr.poa_cache_bytes = 1 << 20;
+    o.udr.poa_cache_admit_min = 1;
+  }
+  workload::Testbed bed(o);
+  Settle(bed);
+  udrnf::UdrNf& udr = bed.udr();
+  const telecom::SubscriberFactory& factory = bed.factory();
+  Rng rng(poa_cache ? 7 : 5);
+  int stale_seen = 0;
+  int hits_seen = 0;
+  for (int step = 0; step < 240; ++step) {
+    const uint64_t index = rng.Uniform(30);
+    const telecom::Subscriber sub = factory.Make(index);
+    const sim::SiteId home = bed.HomeSiteOf(index);
+    sim::SiteId site = static_cast<sim::SiteId>(rng.Uniform(3));
+    ldap::LdapRequest req;
+    req.op = ldap::LdapOp::kSearch;
+    req.dn = ldap::SubscriberDn("imsi", sub.imsi);
+    Identity id = sub.ImsiId();
+    std::string label;
+    switch (rng.Uniform(8)) {
+      case 0:
+        label = "requested list";
+        req.requested_attrs = {"authkey", "sqn"};
+        break;
+      case 1:
+        label = "empty list";
+        break;
+      case 2:
+        label = "objectclass presence";
+        req.filter = "(objectclass=*)";
+        req.requested_attrs = {"serving-vlr"};
+        break;
+      case 3:
+      case 4: {
+        const bool match = rng.Uniform(2) == 0;
+        label = match ? "filter match" : "filter no-match";
+        req.filter = std::string("(odb-premium-barred=") +
+                     (match ? storage::ValueToString(*sub.profile.Get(
+                                  "odb-premium-barred"))
+                            : std::string("maybe")) +
+                     ")";
+        req.requested_attrs = {"sqn", "charging-profile"};
+        break;
+      }
+      case 5:
+        label = "slf search";
+        req.dn = ldap::SubscribersBase();
+        req.scope = ldap::SearchScope::kSingleLevel;
+        req.filter = "(msisdn=" + sub.msisdn + ")";
+        req.requested_attrs = {"imsi", "location-area"};
+        id = sub.MsisdnId();
+        break;
+      case 6:
+        label = "uninterned names";
+        req.filter = "(|(no-such-attr=1)(category=ordinary))";
+        req.requested_attrs = {"sqn", "no-such-requested-attr"};
+        break;
+      default: {
+        // Stale slave read: the master takes a write, then a site that
+        // holds a lagging slave copy reads before the write ships.
+        label = "stale slave read";
+        ldap::LdapRequest mod;
+        mod.op = ldap::LdapOp::kModify;
+        mod.dn = req.dn;
+        mod.mods.push_back({ldap::ModType::kReplace, "serving-vlr",
+                            std::string("vlr") + std::to_string(step)});
+        ASSERT_TRUE(udr.Process(mod, home).ok());
+        site = static_cast<sim::SiteId>((home + 1) % 3);
+        req.requested_attrs = {"serving-vlr"};
+        break;
+      }
+    }
+    PoaCache* cache = udr.router().poa_cache_at(site);
+    const int64_t hits_before = cache != nullptr ? cache->hits() : 0;
+    ldap::LdapResult want = WholeRecordReference(udr, req, id, site);
+    const ldap::LdapResult got = udr.Process(req, site);
+    if (cache != nullptr && cache->hits() > hits_before) {
+      // A hit serves the cached master copy at the PoA-local hit cost.
+      ++hits_seen;
+      auto loc = udr.AuthoritativeLookup(id);
+      ASSERT_TRUE(loc.ok());
+      replication::ReplicaSet* rs = udr.partition(loc->partition);
+      replication::ReadResult meta;
+      auto master = rs->ReadRecord(home, loc->key,
+                                   ReadPreference::kMasterOnly, &meta);
+      ASSERT_TRUE(master.ok());
+      want.latency = udr.router().ResolveAt(id, site).cost + cache->hit_cost();
+      want.stale = false;
+      for (ldap::SearchEntry& e : want.entries) {
+        if (req.requested_attrs.empty()) {
+          e.record = *master;
+          continue;
+        }
+        storage::Record picked;
+        for (const std::string& name : req.requested_attrs) {
+          const storage::Attribute* a = master->Find(name);
+          if (a != nullptr) picked.Set(name, a->value, a->modified_at, a->writer);
+        }
+        e.record = picked;
+      }
+    }
+    if (got.stale) ++stale_seen;
+    ExpectSameSearch(got, want, label + " (step " + std::to_string(step) + ")");
+    if (::testing::Test::HasFatalFailure()) return;
+    bed.clock().Advance(Millis(3));
+  }
+  EXPECT_GT(stale_seen, 0);
+  if (poa_cache) EXPECT_GT(hits_seen, 0);
+}
+
+TEST(ProjectionTest, ProjectedSearchesEqualWholeRecordReads) {
+  RunProjectionDifferential(/*poa_cache=*/false);
+}
+
+TEST(ProjectionTest, ProjectedSearchesEqualWholeRecordReadsWithPoaCache) {
+  RunProjectionDifferential(/*poa_cache=*/true);
 }
 
 }  // namespace

@@ -46,6 +46,43 @@ TEST(DnTest, ParseErrors) {
   EXPECT_FALSE(Dn::Parse("a=,ou=x").ok());       // Empty value.
 }
 
+/// A DN of `n` RDNs: "a0=v,a1=v,...".
+std::string RdnChain(size_t n) {
+  std::string text;
+  for (size_t i = 0; i < n; ++i) {
+    if (i != 0) text += ",";
+    text += "a" + std::to_string(i) + "=v";
+  }
+  return text;
+}
+
+TEST(DnTest, RdnCountIsCapped) {
+  auto at_cap = Dn::Parse(RdnChain(Dn::kMaxRdns));
+  ASSERT_TRUE(at_cap.ok());
+  EXPECT_EQ(at_cap->depth(), Dn::kMaxRdns);
+  EXPECT_TRUE(Dn::Parse(RdnChain(Dn::kMaxRdns + 1)).status().IsInvalidArgument());
+  // Escaped commas do not separate RDNs, so they do not count.
+  std::string escaped = "a=";
+  for (size_t i = 0; i < Dn::kMaxRdns * 2; ++i) escaped += "\\,";
+  EXPECT_TRUE(Dn::Parse(escaped).ok());
+  // Commas within the length cap are refused at the RDN cap, and a 1 MiB
+  // DN of commas is refused without building its ~500k RDNs.
+  EXPECT_TRUE(Dn::Parse(std::string(Dn::kMaxLength, ','))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      Dn::Parse(std::string(1 << 20, ',')).status().IsInvalidArgument());
+}
+
+TEST(DnTest, LengthIsCapped) {
+  const std::string at_cap = "a=" + std::string(Dn::kMaxLength - 2, 'x');
+  ASSERT_EQ(at_cap.size(), Dn::kMaxLength);
+  EXPECT_TRUE(Dn::Parse(at_cap).ok());
+  EXPECT_TRUE(Dn::Parse(at_cap + "x").status().IsInvalidArgument());
+  const std::string mib = "a=" + std::string(1 << 20, 'x');
+  EXPECT_TRUE(Dn::Parse(mib).status().IsInvalidArgument());
+}
+
 TEST(DnTest, EmptyDnParses) {
   auto dn = Dn::Parse("");
   ASSERT_TRUE(dn.ok());

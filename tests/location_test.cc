@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "location/identity.h"
@@ -50,69 +51,104 @@ TEST(IdentityTest, ToStringIncludesType) {
 // ---------------------------------------------------------------------------
 
 TEST(ProvisionedStageTest, BindResolveUnbind) {
-  ProvisionedLocationStage stage;
+  IdentityIndex index;
+  ProvisionedLocationStage stage(&index);
   Identity id{IdentityType::kImsi, "214050000000001"};
   LocationEntry entry{42, 3};
-  ASSERT_TRUE(stage.Bind(id, entry).ok());
+  index.Bind(id, entry);
   ResolveResult r = stage.Resolve(id, 0);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.entry, entry);
   EXPECT_GT(r.cost, 0);
-  ASSERT_TRUE(stage.Unbind(id).ok());
+  ASSERT_TRUE(index.Unbind(id));
   EXPECT_TRUE(stage.Resolve(id, 0).status.IsNotFound());
-  EXPECT_TRUE(stage.Unbind(id).IsNotFound());
+  EXPECT_FALSE(index.Unbind(id));
 }
 
 TEST(ProvisionedStageTest, SupportsAllIdentityIndexes) {
-  ProvisionedLocationStage stage;
+  IdentityIndex index;
+  ProvisionedLocationStage stage(&index);
   LocationEntry e{1, 0};
-  ASSERT_TRUE(stage.Bind({IdentityType::kImsi, "214"}, e).ok());
-  ASSERT_TRUE(stage.Bind({IdentityType::kMsisdn, "+34600"}, e).ok());
-  ASSERT_TRUE(stage.Bind({IdentityType::kImpu, "sip:a"}, e).ok());
-  ASSERT_TRUE(stage.Bind({IdentityType::kImpi, "a@realm"}, e).ok());
+  index.Bind({IdentityType::kImsi, "214"}, e);
+  index.Bind({IdentityType::kMsisdn, "+34600"}, e);
+  index.Bind({IdentityType::kImpu, "sip:a"}, e);
+  index.Bind({IdentityType::kImpi, "a@realm"}, e);
   EXPECT_EQ(stage.EntryCount(), 4);
+  EXPECT_EQ(index.CountOf(IdentityType::kMsisdn), 1);
   // Same value under different types resolves independently.
   EXPECT_TRUE(stage.Resolve({IdentityType::kImsi, "214"}, 0).status.ok());
   EXPECT_TRUE(
       stage.Resolve({IdentityType::kMsisdn, "214"}, 0).status.IsNotFound());
 }
 
+TEST(ProvisionedStageTest, StageBindingsAreTheSharedIndex) {
+  // A stage keeps no bindings of its own: Bind/Unbind on it are no-ops and
+  // two stages over one index see exactly what the index holds.
+  IdentityIndex index;
+  ProvisionedLocationStage a(&index), b(&index);
+  Identity id{IdentityType::kImsi, "214"};
+  EXPECT_TRUE(a.Bind(id, {1, 0}).ok());
+  EXPECT_TRUE(a.Resolve(id, 0).status.IsNotFound());
+  index.Bind(id, {7, 2});
+  EXPECT_EQ(a.Resolve(id, 0).entry, (LocationEntry{7, 2}));
+  EXPECT_EQ(b.Resolve(id, 0).entry, (LocationEntry{7, 2}));
+  EXPECT_TRUE(b.Unbind(id).ok());
+  EXPECT_TRUE(a.Resolve(id, 0).status.ok());
+  // Rebinding overwrites without changing the counts.
+  index.Bind(id, {8, 1});
+  EXPECT_EQ(index.size(), 1);
+  EXPECT_EQ(index.CountOf(IdentityType::kImsi), 1);
+  EXPECT_EQ(index.value_bytes(), 3);
+  ASSERT_TRUE(index.Unbind(id));
+  EXPECT_EQ(index.CountOf(IdentityType::kImsi), 0);
+  EXPECT_EQ(index.value_bytes(), 0);
+}
+
 TEST(ProvisionedStageTest, LookupCostGrowsLogarithmically) {
   LocationCostModel model;
   model.map_base = Micros(2);
   model.map_per_log2 = Micros(1);
-  ProvisionedLocationStage stage(model);
+  IdentityIndex index;
+  ProvisionedLocationStage stage(&index, model);
   LocationEntry e{1, 0};
   for (int i = 0; i < 1024; ++i) {
-    stage.Bind({IdentityType::kImsi, "s" + std::to_string(i)}, e);
+    index.Bind({IdentityType::kImsi, "s" + std::to_string(i)}, e);
   }
   MicroDuration cost_1k = stage.Resolve({IdentityType::kImsi, "s5"}, 0).cost;
   for (int i = 1024; i < 65536; ++i) {
-    stage.Bind({IdentityType::kImsi, "s" + std::to_string(i)}, e);
+    index.Bind({IdentityType::kImsi, "s" + std::to_string(i)}, e);
   }
   MicroDuration cost_64k = stage.Resolve({IdentityType::kImsi, "s5"}, 0).cost;
   // log2(64k)=16 vs log2(1k)=10: +6 comparisons at 1us each.
   EXPECT_EQ(cost_64k - cost_1k, Micros(6));
+  // The modelled depth is per identity type: other types do not deepen it.
+  for (int i = 0; i < 4096; ++i) {
+    index.Bind({IdentityType::kMsisdn, "m" + std::to_string(i)}, e);
+  }
+  EXPECT_EQ(stage.Resolve({IdentityType::kImsi, "s5"}, 0).cost, cost_64k);
 }
 
 TEST(ProvisionedStageTest, MemoryGrowsPerEntry) {
-  ProvisionedLocationStage stage;
+  IdentityIndex index;
+  ProvisionedLocationStage stage(&index);
   EXPECT_EQ(stage.ApproxBytes(), 0);
-  stage.Bind({IdentityType::kImsi, "214050000000001"}, {1, 0});
+  index.Bind({IdentityType::kImsi, "214050000000001"}, {1, 0});
   int64_t one = stage.ApproxBytes();
   EXPECT_GT(one, 64);
-  stage.Bind({IdentityType::kMsisdn, "+34600000001"}, {1, 0});
+  index.Bind({IdentityType::kMsisdn, "+34600000001"}, {1, 0});
   EXPECT_GT(stage.ApproxBytes(), one);
 }
 
 TEST(ProvisionedStageTest, ScaleOutSyncWindowBlocksResolution) {
   LocationCostModel model;
   model.sync_per_entry = Micros(2);
-  ProvisionedLocationStage peer(model);
+  IdentityIndex index;
+  ProvisionedLocationStage peer(&index, model);
   for (int i = 0; i < 1000; ++i) {
-    peer.Bind({IdentityType::kImsi, "s" + std::to_string(i)}, {1, 0});
+    index.Bind({IdentityType::kImsi, "s" + std::to_string(i)}, {1, 0});
   }
-  ProvisionedLocationStage fresh(model);
+  IdentityIndex empty;
+  ProvisionedLocationStage fresh(&empty, model);
   MicroDuration window = fresh.BeginSyncFrom(peer, /*now=*/Seconds(10));
   EXPECT_EQ(window, 1000 * Micros(2));
   EXPECT_TRUE(fresh.Syncing(Seconds(10)));
@@ -127,12 +163,14 @@ TEST(ProvisionedStageTest, ScaleOutSyncWindowBlocksResolution) {
 }
 
 TEST(ProvisionedStageTest, SyncWindowScalesWithEntries) {
-  ProvisionedLocationStage small, big, fresh1, fresh2;
+  IdentityIndex small_index, big_index, empty;
+  ProvisionedLocationStage small(&small_index), big(&big_index),
+      fresh1(&empty), fresh2(&empty);
   for (int i = 0; i < 100; ++i) {
-    small.Bind({IdentityType::kImsi, "s" + std::to_string(i)}, {1, 0});
+    small_index.Bind({IdentityType::kImsi, "s" + std::to_string(i)}, {1, 0});
   }
   for (int i = 0; i < 10000; ++i) {
-    big.Bind({IdentityType::kImsi, "b" + std::to_string(i)}, {1, 0});
+    big_index.Bind({IdentityType::kImsi, "b" + std::to_string(i)}, {1, 0});
   }
   EXPECT_EQ(fresh2.BeginSyncFrom(big, 0) / fresh1.BeginSyncFrom(small, 0), 100);
 }

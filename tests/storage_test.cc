@@ -226,8 +226,114 @@ TEST(CommitLogTest, ApplyDeleteOp) {
   WriteOp del;
   del.kind = WriteKind::kDeleteRecord;
   del.key = 1;
-  ApplyWriteOp(&s, del);
+  s.ApplyWrites({del});
   EXPECT_FALSE(s.Contains(1));
+}
+
+/// The per-op reference ApplyWrites must equal: each op through the store's
+/// single-op primitives.
+void ApplyOneByOne(RecordStore* store, const std::vector<WriteOp>& ops) {
+  for (const WriteOp& op : ops) {
+    switch (op.kind) {
+      case WriteKind::kUpsertAttr:
+        store->SetAttribute(op.key, op.attr_id, op.attribute.value,
+                            op.attribute.modified_at, op.attribute.writer);
+        break;
+      case WriteKind::kRemoveAttr:
+        store->RemoveAttribute(op.key, op.attr_id);
+        break;
+      case WriteKind::kDeleteRecord:
+        store->DeleteRecord(op.key);
+        break;
+    }
+  }
+}
+
+void ExpectSameStore(const RecordStore& a, const RecordStore& b,
+                     const std::string& label) {
+  EXPECT_EQ(a.Count(), b.Count()) << label;
+  EXPECT_EQ(a.ApproxBytes(), b.ApproxBytes()) << label;
+  std::vector<std::pair<RecordKey, const Record*>> in_a, in_b;
+  a.ForEach([&](RecordKey k, const Record& r) { in_a.emplace_back(k, &r); });
+  b.ForEach([&](RecordKey k, const Record& r) { in_b.emplace_back(k, &r); });
+  ASSERT_EQ(in_a.size(), in_b.size()) << label;
+  for (size_t i = 0; i < in_a.size(); ++i) {
+    ASSERT_EQ(in_a[i].first, in_b[i].first) << label << " scan slot " << i;
+    EXPECT_TRUE(*in_a[i].second == *in_b[i].second)
+        << label << " key " << in_a[i].first;
+    EXPECT_EQ(in_a[i].second->version(), in_b[i].second->version())
+        << label << " key " << in_a[i].first;
+  }
+}
+
+TEST(ApplyWritesTest, RemoveBeforeCreateMatchesPerOpPath) {
+  // The remove finds no record and does nothing; the upsert creates it at
+  // version 1, exactly as one op at a time.
+  const AttrId a = InternAttr("apply-a");
+  const AttrId b = InternAttr("apply-b");
+  std::vector<WriteOp> ops(2);
+  ops[0].kind = WriteKind::kRemoveAttr;
+  ops[0].key = 7;
+  ops[0].attr_id = a;
+  ops[1].kind = WriteKind::kUpsertAttr;
+  ops[1].key = 7;
+  ops[1].attr_id = b;
+  ops[1].attribute.value = int64_t{1};
+  RecordStore batched, reference;
+  batched.ApplyWrites(ops);
+  ApplyOneByOne(&reference, ops);
+  ExpectSameStore(batched, reference, "remove-before-create");
+  ASSERT_NE(batched.Find(7), nullptr);
+  EXPECT_EQ(batched.Find(7)->version(), 1u);
+  EXPECT_EQ(batched.Find(7)->attribute_count(), 1u);
+}
+
+TEST(ApplyWritesTest, SeededWriteSetsMatchPerOpPath) {
+  // A seeded mix of write sets over a small key space: create, overwrite,
+  // remove (present, absent, on an absent record), remove before create,
+  // delete (present, absent) and delete-then-recreate, in same-key runs and
+  // interleaved keys. After every set the two stores must hold the same
+  // records, versions, byte totals and scan order.
+  std::vector<AttrId> attrs;
+  for (int i = 0; i < 6; ++i) {
+    attrs.push_back(InternAttr("apply-attr-" + std::to_string(i)));
+  }
+  Rng rng(20261017);
+  RecordStore batched, reference;
+  for (int set = 0; set < 400; ++set) {
+    std::vector<WriteOp> ops;
+    const int n = 1 + static_cast<int>(rng.Uniform(12));
+    RecordKey key = 1 + rng.Uniform(24);
+    for (int i = 0; i < n; ++i) {
+      // Mostly same-key runs, sometimes a switch to another key.
+      if (rng.Uniform(4) == 0) key = 1 + rng.Uniform(24);
+      WriteOp op;
+      op.key = key;
+      op.attr_id = attrs[rng.Uniform(attrs.size())];
+      const uint64_t kind = rng.Uniform(10);
+      if (kind < 6) {
+        op.kind = WriteKind::kUpsertAttr;
+        if (rng.Uniform(2) == 0) {
+          op.attribute.value = static_cast<int64_t>(rng.Uniform(1000));
+        } else {
+          // Long enough to spill to the heap (counted by ApproxBytes).
+          op.attribute.value = std::string(1 + rng.Uniform(40), 'v');
+        }
+        op.attribute.modified_at = static_cast<MicroTime>(set);
+        op.attribute.writer = static_cast<uint32_t>(rng.Uniform(3));
+      } else if (kind < 9) {
+        op.kind = WriteKind::kRemoveAttr;
+      } else {
+        op.kind = WriteKind::kDeleteRecord;
+      }
+      ops.push_back(std::move(op));
+    }
+    batched.ApplyWrites(ops);
+    ApplyOneByOne(&reference, ops);
+    ExpectSameStore(batched, reference, "set " + std::to_string(set));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(batched.Count(), 0);
 }
 
 // ---------------------------------------------------------------------------

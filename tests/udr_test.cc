@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "ldap/dn.h"
 #include "sim/network.h"
 #include "udr/capacity_model.h"
@@ -431,6 +433,64 @@ TEST_F(UdrNfTest, ScaleOutSyncWindowBlocksNewPoa) {
   auto r = (*cluster)->location_stage()->Resolve({IdentityType::kImsi, "i0"},
                                                  clock_.Now());
   EXPECT_TRUE(r.status.IsUnavailable());
+}
+
+TEST_F(UdrNfTest, ScaleOutStageResolvesFromTheSharedIndex) {
+  // Every provisioned stage reads the router's one identity index. The
+  // scale-out PoA is Unavailable for EntryCount x sync_per_entry, then
+  // resolves every bound identity to its binding at the per-type modelled
+  // cost; after a Delete no PoA resolves the subscriber.
+  clock_.AdvanceTo(Seconds(1));
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(udr_
+                    ->CreateSubscriber(SpecFor("i" + std::to_string(i),
+                                               "m" + std::to_string(i)),
+                                       0)
+                    .ok());
+  }
+  const location::IdentityIndex& index = *udr_->router().identity_index();
+  ASSERT_EQ(index.size(), 600);
+  const location::LocationCostModel model = udr_->config().location_model;
+  const MicroTime start = clock_.Now();
+  auto cluster = udr_->AddCluster(2);
+  ASSERT_TRUE(cluster.ok());
+  location::LocationStage* fresh = (*cluster)->location_stage();
+  const MicroDuration window = 600 * model.sync_per_entry;
+  const Identity probe{IdentityType::kImsi, "i0"};
+  EXPECT_TRUE(fresh->Resolve(probe, start).status.IsUnavailable());
+  EXPECT_TRUE(fresh->Resolve(probe, start + window - 1).status.IsUnavailable());
+
+  const MicroTime done = start + window;
+  std::vector<location::LocationStage*> stages;
+  for (uint32_t c = 0; c < udr_->cluster_count(); ++c) {
+    stages.push_back(udr_->cluster(c)->location_stage());
+  }
+  for (const auto& [id, entry] : udr_->router().bindings()) {
+    const MicroDuration expected_cost =
+        model.map_base +
+        model.map_per_log2 *
+            static_cast<MicroDuration>(std::ceil(
+                std::log2(static_cast<double>(index.CountOf(id.type)))));
+    for (location::LocationStage* stage : stages) {
+      location::ResolveResult r = stage->Resolve(id, done);
+      ASSERT_TRUE(r.status.ok()) << id.ToString();
+      EXPECT_EQ(r.entry, entry) << id.ToString();
+      EXPECT_EQ(r.cost, expected_cost) << id.ToString();
+    }
+  }
+  EXPECT_EQ(fresh->EntryCount(), 600);
+
+  LdapRequest del;
+  del.op = LdapOp::kDelete;
+  del.dn = ldap::SubscriberDn("imsi", "i0");
+  clock_.AdvanceTo(done);
+  ASSERT_EQ(udr_->Process(del, 0).code, LdapResultCode::kSuccess);
+  for (location::LocationStage* stage : stages) {
+    EXPECT_TRUE(stage->Resolve(probe, clock_.Now()).status.IsNotFound());
+    EXPECT_TRUE(stage->Resolve({IdentityType::kMsisdn, "m0"}, clock_.Now())
+                    .status.IsNotFound());
+    EXPECT_EQ(stage->EntryCount(), 598);
+  }
 }
 
 TEST_F(UdrNfTest, CachedLocationStageHasNoSyncWindow) {

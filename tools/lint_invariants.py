@@ -12,10 +12,15 @@ concurrency statically checkable — the ones a generic linter can't know:
                      gate). Real-time measurement for *reporting* is allowed
                      only with an inline justification marker.
 
-  storage-string-map src/storage/ must not declare std::map<std::string, ...>
-                     — the PR 6 packed-layout regression guard. The legacy
-                     map form exists only as an explicitly-marked boundary
-                     shim on Record::ToMap/FromMap.
+  storage-string-map src/storage/ and src/location/ must not declare
+                     std::map<std::string, ...>. In storage it is the PR 6
+                     packed-layout regression guard; the legacy map form
+                     exists only as an explicitly-marked boundary shim on
+                     Record::ToMap/FromMap. In location it keeps an ordered
+                     string-keyed identity map off the resolve path: every
+                     provisioned stage resolves by hash against the router's
+                     one IdentityIndex, and the O(log N) descent is only the
+                     modelled cost.
 
   raw-mutex          std::mutex / lock_guard / unique_lock / scoped_lock /
                      condition_variable (and #include <mutex>) are banned
@@ -101,7 +106,7 @@ def code_part(line: str) -> str:
 
 def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
     in_common = rel.startswith("src/common/")
-    in_storage = rel.startswith("src/storage/")
+    in_storage = rel.startswith(("src/storage/", "src/location/"))
     in_sim_loop_home = rel.startswith(SIM_LOOP_HOMES)
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -147,9 +152,10 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
             if STORAGE_MAP_RE.search(code):
                 violations.append(
                     f"{rel}:{lineno}: [storage-string-map] "
-                    f"std::map<std::string, ...> in src/storage/ — the packed "
-                    f"record layout (PR 6) exists to avoid this; use AttrId "
-                    f"keys or mark an explicit boundary shim")
+                    f"std::map<std::string, ...> in src/storage/ or "
+                    f"src/location/ — records key attributes by AttrId and "
+                    f"identities resolve by hash in the shared IdentityIndex; "
+                    f"use those or mark an explicit boundary shim")
 
         if not in_common and "raw-mutex" not in active:
             for pat, what in RAW_MUTEX_PATTERNS:
