@@ -67,18 +67,6 @@ ResolveResult ProvisionedLocationStage::Resolve(const Identity& id,
   return out;
 }
 
-Status ProvisionedLocationStage::Bind(const Identity& id,
-                                      const LocationEntry& entry) {
-  (void)id;
-  (void)entry;
-  return Status::Ok();
-}
-
-Status ProvisionedLocationStage::Unbind(const Identity& id) {
-  (void)id;
-  return Status::Ok();
-}
-
 int64_t ProvisionedLocationStage::EntryCount() const { return index_->size(); }
 
 int64_t ProvisionedLocationStage::ApproxBytes() const {

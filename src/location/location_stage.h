@@ -62,7 +62,6 @@ class IdentityIndex {
     auto it = map_.find(id);
     return it == map_.end() ? nullptr : &it->second;
   }
-  bool Contains(const Identity& id) const { return map_.count(id) > 0; }
 
   /// Bound identities of one type / of every type.
   int64_t CountOf(IdentityType type) const {
@@ -141,8 +140,10 @@ class ProvisionedLocationStage : public LocationStage {
   ResolveResult Resolve(const Identity& id, MicroTime now) override;
   /// No-ops: the bindings live in the shared index, and its owner writes
   /// them there once for every stage that reads it.
-  Status Bind(const Identity& id, const LocationEntry& entry) override;
-  Status Unbind(const Identity& id) override;
+  Status Bind(const Identity&, const LocationEntry&) override {
+    return Status::Ok();
+  }
+  Status Unbind(const Identity&) override { return Status::Ok(); }
   int64_t EntryCount() const override;
   int64_t ApproxBytes() const override;
   bool SupportsSelectivePlacement() const override { return true; }

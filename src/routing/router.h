@@ -118,7 +118,7 @@ class Router {
   StatusOr<location::LocationEntry> AuthoritativeLookup(
       const location::Identity& id) const;
   bool IsBound(const location::Identity& id) const {
-    return authoritative_.Contains(id);
+    return authoritative_.Find(id) != nullptr;
   }
 
   /// The authoritative index provisioned location stages resolve against.
@@ -134,7 +134,8 @@ class Router {
     return authoritative_.map();
   }
 
-  /// Records a binding authoritatively and at every PoA stage.
+  /// Records a binding in the identity index and at every PoA stage (a
+  /// provisioned stage reads the index and ignores the call).
   void Bind(const location::Identity& id, const location::LocationEntry& entry);
 
   /// Removes a binding everywhere.

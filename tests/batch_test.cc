@@ -1014,7 +1014,9 @@ void RunProjectionDifferential(bool poa_cache) {
     bed.clock().Advance(Millis(3));
   }
   EXPECT_GT(stale_seen, 0);
-  if (poa_cache) EXPECT_GT(hits_seen, 0);
+  if (poa_cache) {
+    EXPECT_GT(hits_seen, 0);
+  }
 }
 
 TEST(ProjectionTest, ProjectedSearchesEqualWholeRecordReads) {
