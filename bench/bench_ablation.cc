@@ -3,19 +3,15 @@
 //       read availability under one-site loss, RAM amplification;
 //   A2. failover detection timeout: write-unavailability window after a
 //       master crash;
-//   A3. isolation level: READ_COMMITTED vs READ_UNCOMMITTED — dirty-read
-//       anomaly counts under concurrent PS/FE activity on one SE;
-//   A4. §6 future work head-to-head: master/slave (CP and AP) vs QUORUM vs
-//       Paxos-style consensus — write availability through a partition
-//       where the master/leader sits on the minority side, plus loss on
-//       crash.
+//   A4. replication strategy head-to-head: master/slave async (CP and AP)
+//       vs QUORUM — write availability through a partition where the master
+//       sits on the minority side, plus loss on crash.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "common/table.h"
-#include "replication/consensus.h"
 #include "replication/replica_set.h"
 #include "replication/write_builder.h"
 #include "workload/testbed.h"
@@ -110,55 +106,7 @@ void PrintFailoverTimeoutTable() {
 }
 
 // ---------------------------------------------------------------------------
-// A3: isolation level anomaly counts
-// ---------------------------------------------------------------------------
-
-void PrintIsolationTable() {
-  Table t("ABL-3: dirty reads observed by a concurrent reader during 1,000 "
-          "writer transactions (one SE)",
-          {"reader isolation", "dirty reads", "note"});
-  for (auto iso : {storage::IsolationLevel::kReadCommitted,
-                   storage::IsolationLevel::kReadUncommitted}) {
-    sim::SimClock clock;
-    storage::StorageElementConfig cfg;
-    storage::StorageElement se(cfg, &clock);
-    {
-      auto txn = se.Begin();
-      (void)txn.SetAttribute(1, "balance", int64_t{0});
-      (void)txn.Commit(0);
-    }
-    int64_t dirty = 0;
-    for (int i = 1; i <= 1000; ++i) {
-      clock.Advance(Millis(1));
-      auto writer = se.Begin();
-      (void)writer.SetAttribute(1, "balance", static_cast<int64_t>(i));
-      // Concurrent read while the writer is uncommitted.
-      auto reader = se.Begin(iso);
-      auto v = reader.GetAttribute(1, "balance");
-      if (v.ok() &&
-          storage::ValueToString(*v) == std::to_string(i)) {
-        ++dirty;  // Saw the uncommitted value.
-      }
-      reader.Abort();
-      if (i % 2 == 0) {
-        (void)writer.Commit(clock.Now());
-      } else {
-        writer.Abort();  // Half the writes never happen.
-      }
-    }
-    t.AddRow({iso == storage::IsolationLevel::kReadCommitted
-                  ? "READ_COMMITTED (intra-SE, §3.2)"
-                  : "READ_UNCOMMITTED (multi-SE, §3.2)",
-              Table::Num(dirty),
-              iso == storage::IsolationLevel::kReadCommitted
-                  ? "reads never blocked, never dirty"
-                  : "half of these observed writes that aborted"});
-  }
-  t.Print();
-}
-
-// ---------------------------------------------------------------------------
-// A4: replication strategy head-to-head (incl. §6 consensus)
+// A4: replication strategy head-to-head
 // ---------------------------------------------------------------------------
 
 struct StrategyResult {
@@ -218,60 +166,9 @@ StrategyResult RunMasterSlave(replication::PartitionMode pmode,
   return out;
 }
 
-StrategyResult RunConsensus() {
-  sim::SimClock clock;
-  auto network = std::make_unique<sim::Network>(sim::Topology(3), &clock);
-  std::vector<std::unique_ptr<storage::StorageElement>> ses;
-  std::vector<storage::StorageElement*> ptrs;
-  for (int s = 0; s < 3; ++s) {
-    storage::StorageElementConfig cfg;
-    cfg.site = static_cast<sim::SiteId>(s);
-    ses.push_back(std::make_unique<storage::StorageElement>(
-        cfg, &clock, static_cast<uint32_t>(s)));
-    ptrs.push_back(ses.back().get());
-  }
-  replication::ConsensusReplicaSet group(replication::ConsensusConfig(), ptrs,
-                                         network.get());
-  StrategyResult out;
-  clock.AdvanceTo(Seconds(1));
-  {
-    replication::WriteBuilder wb;
-    wb.Set(1, "v", int64_t{0});
-    out.steady_latency = group.Write(0, std::move(wb).Build()).latency;
-  }
-  network->partitions().IsolateSite(0, 3, clock.Now(),
-                                    clock.Now() + Seconds(60));
-  int64_t ok = 0, total = 0;
-  for (int i = 0; i < 600; ++i) {
-    clock.Advance(Millis(100));
-    replication::WriteBuilder wb;
-    wb.Set(1 + i % 10, "v", static_cast<int64_t>(i));
-    if (group.Write(1, std::move(wb).Build()).status.ok()) ++ok;
-    ++total;
-  }
-  out.write_availability = static_cast<double>(ok) / total;
-  clock.Advance(Seconds(60));
-  storage::CommitSeq before = group.committed_seq();
-  for (int i = 0; i < 10; ++i) {
-    replication::WriteBuilder wb;
-    wb.Set(50, "v", static_cast<int64_t>(i));
-    group.Write(group.leader_site(), std::move(wb).Build());
-  }
-  group.CrashReplica(group.leader_id());
-  clock.Advance(Seconds(10));
-  replication::WriteBuilder wb;
-  wb.Set(51, "v", int64_t{1});
-  (void)group.Write(1, std::move(wb).Build());
-  // Committed entries never truncate under consensus.
-  out.lost_on_crash =
-      static_cast<int64_t>(before + 10 + 1 - group.committed_seq());
-  if (out.lost_on_crash < 0) out.lost_on_crash = 0;
-  return out;
-}
-
 void PrintStrategyTable() {
-  Table t("ABL-4: replication strategy head-to-head (master/leader site "
-          "isolated 60s, writes from the surviving side; §6 future work)",
+  Table t("ABL-4: replication strategy head-to-head (master site isolated "
+          "60s, writes from the surviving side)",
           {"strategy", "steady write latency", "write avail during cut",
            "acked txns lost on crash"});
   auto cp = RunMasterSlave(replication::PartitionMode::kPreferConsistency,
@@ -287,55 +184,23 @@ void PrintStrategyTable() {
                            replication::SyncMode::kQuorum);
   t.AddRow({"master/slave quorum", Table::Dur(qr.steady_latency),
             Table::Pct(qr.write_availability, 1), Table::Num(qr.lost_on_crash)});
-  auto cs = RunConsensus();
-  t.AddRow({"consensus (Paxos-style, §6)", Table::Dur(cs.steady_latency),
-            Table::Pct(cs.write_availability, 1), Table::Num(cs.lost_on_crash)});
   t.Print();
 
   Table t2("ABL-4 expected shape", {"check", "result"});
   t2.AddRow({"CP loses write availability during the cut",
              cp.write_availability < 0.5 ? "PASS" : "FAIL"});
-  t2.AddRow({"consensus keeps writing (majority side) AND loses nothing",
-             cs.write_availability > 0.9 && cs.lost_on_crash == 0 ? "PASS"
-                                                                  : "FAIL"});
-  t2.AddRow({"consensus pays latency even in steady state",
-             cs.steady_latency > cp.steady_latency ? "PASS" : "FAIL"});
+  t2.AddRow({"quorum loses no acked write on master crash",
+             qr.lost_on_crash == 0 ? "PASS" : "FAIL"});
+  t2.AddRow({"AP keeps writing during the cut",
+             ap.write_availability > 0.9 ? "PASS" : "FAIL"});
   t2.Print();
 }
-
-void BM_ConsensusWrite(benchmark::State& state) {
-  sim::SimClock clock;
-  auto network = std::make_unique<sim::Network>(sim::Topology(3), &clock);
-  std::vector<std::unique_ptr<storage::StorageElement>> ses;
-  std::vector<storage::StorageElement*> ptrs;
-  for (int s = 0; s < 3; ++s) {
-    storage::StorageElementConfig cfg;
-    cfg.site = static_cast<sim::SiteId>(s);
-    ses.push_back(std::make_unique<storage::StorageElement>(
-        cfg, &clock, static_cast<uint32_t>(s)));
-    ptrs.push_back(ses.back().get());
-  }
-  replication::ConsensusReplicaSet group(replication::ConsensusConfig(), ptrs,
-                                         network.get());
-  uint64_t i = 0;
-  for (auto _ : state) {
-    clock.Advance(Micros(100));
-    replication::WriteBuilder wb;
-    wb.Set(i % 100, "v", static_cast<int64_t>(i));
-    auto w = group.Write(0, std::move(wb).Build());
-    benchmark::DoNotOptimize(w);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ConsensusWrite);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   PrintReplicationFactorTable();
   PrintFailoverTimeoutTable();
-  PrintIsolationTable();
   PrintStrategyTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 
+#include "replication/write_builder.h"
 #include "telecom/front_end.h"
 #include "telecom/provisioning.h"
 #include "workload/testbed.h"
@@ -97,26 +98,33 @@ int main() {
   // --- 4. Standalone SE: checkpoint recovery -----------------------------------
   {
     sim::SimClock clock;
+    sim::Network network(sim::Topology(1), &clock);
     storage::StorageElementConfig cfg;
     cfg.name = "standalone-se";
     cfg.checkpoint_period = Minutes(5);
     storage::StorageElement se(cfg, &clock);
+    // A single-copy partition: no peer can hold what the disk lacks.
+    replication::ReplicaSet rs(replication::ReplicaSetConfig(), {&se},
+                               &network);
     // Commits at t=1min (inside checkpoint 0..5min) and t=6min (after the
     // 5-min checkpoint).
     clock.AdvanceTo(Minutes(1));
     {
-      auto txn = se.Begin();
-      (void)txn.SetAttribute(1, "cfu-number", std::string("+34911"));
-      (void)txn.Commit(clock.Now());
+      replication::WriteBuilder wb;
+      wb.Set(1, "cfu-number", std::string("+34911"));
+      (void)rs.Write(0, std::move(wb).Build());
     }
     clock.AdvanceTo(Minutes(6));
     {
-      auto txn = se.Begin();
-      (void)txn.SetAttribute(2, "cfu-number", std::string("+34922"));
-      (void)txn.Commit(clock.Now());
+      replication::WriteBuilder wb;
+      wb.Set(2, "cfu-number", std::string("+34922"));
+      (void)rs.Write(0, std::move(wb).Build());
     }
     clock.AdvanceTo(Minutes(8));
-    auto rec = se.CrashAndRecoverLocally(clock.Now());
+    auto rec = se.LocalRecovery(rs.log(), clock.Now());
+    // What the SE reloads from disk: the log prefix the checkpoint captured.
+    storage::RecordStore disk;
+    rs.log().ReplayRange(&disk, 0, rec.recovered_seq);
     std::printf("4. standalone SE crash at t=8min (checkpoint every 5min):\n"
                 "   recovered to seq %llu of %llu — lost %lld txns spanning %s\n"
                 "   record 1 (pre-checkpoint): %s, record 2 (post): %s\n",
@@ -124,8 +132,8 @@ int main() {
                 static_cast<unsigned long long>(rec.last_seq_before_crash),
                 static_cast<long long>(rec.lost_transactions),
                 FormatDuration(rec.data_loss_window).c_str(),
-                se.store().Contains(1) ? "survived" : "lost",
-                se.store().Contains(2) ? "survived" : "lost");
+                disk.Contains(1) ? "survived" : "lost",
+                disk.Contains(2) ? "survived" : "lost");
   }
 
   std::printf("\ndone.\n");

@@ -2,7 +2,7 @@
 // this codebase) contributes `vnodes_per_node` pseudo-random points on a
 // 64-bit ring; a key is owned by the first node point at or after the key's
 // hash. Adding a node therefore moves only ~K/N of K keys — the property the
-// routing layer's PartitionMap and the consistent-hash location stage both
+// routing layer's PartitionMap and the exec layer's shard assignment both
 // rely on, so the ring lives here where either layer can use it.
 
 #ifndef UDR_COMMON_HASH_RING_H_

@@ -146,44 +146,4 @@ int64_t CachedLocationStage::ApproxBytes() const {
 
 void CachedLocationStage::InvalidateAll() { cache_.clear(); }
 
-// ---------------------------------------------------------------------------
-// ConsistentHashLocationStage
-// ---------------------------------------------------------------------------
-
-ConsistentHashLocationStage::ConsistentHashLocationStage(
-    uint32_t partitions, int vnodes_per_partition, LocationCostModel model)
-    : model_(model), partitions_(partitions), ring_(vnodes_per_partition) {
-  ring_.AddNodes(0, partitions);
-}
-
-uint32_t ConsistentHashLocationStage::PartitionOf(const Identity& id) const {
-  return ring_.NodeOfHash(HashIdentity(id));
-}
-
-ResolveResult ConsistentHashLocationStage::Resolve(const Identity& id,
-                                                   MicroTime now) {
-  (void)now;
-  ResolveResult out;
-  out.status = Status::Ok();
-  out.entry.key = HashIdentity(id);
-  out.entry.partition = PartitionOf(id);
-  out.cost = model_.hash_lookup;
-  return out;
-}
-
-Status ConsistentHashLocationStage::Bind(const Identity& id,
-                                         const LocationEntry& entry) {
-  if (entry.partition != PartitionOf(id)) {
-    return Status::FailedPrecondition(
-        "consistent hashing cannot honor selective placement for " +
-        id.ToString());
-  }
-  return Status::Ok();
-}
-
-int64_t ConsistentHashLocationStage::ApproxBytes() const {
-  // Ring points only: (8-byte hash + 4-byte partition) per vnode.
-  return static_cast<int64_t>(ring_.point_count()) * 12;
-}
-
 }  // namespace udr::location

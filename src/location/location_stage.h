@@ -12,9 +12,12 @@
 //   * CachedLocationStage — maps built on the fly: a miss broadcasts a
 //     location query to every storage element (cost grows with #SE), but
 //     scale-out needs no sync window.
-//   * ConsistentHashLocationStage — O(1) lookups, but each identity type
-//     needs its own ring/replica of the data and selective placement is
-//     impossible; the paper deems it impractical.
+//   * consistent hashing — O(1) lookups, but each identity type needs its
+//     own ring/replica of the data and selective placement is impossible;
+//     the paper deems it impractical. It is no stage here: under hash
+//     placement the router's bypass resolves reads straight through
+//     routing::PartitionMap (PartitionOfIdentity + HashIdentity) at
+//     LocationCostModel::hash_lookup.
 
 #ifndef UDR_LOCATION_LOCATION_STAGE_H_
 #define UDR_LOCATION_LOCATION_STAGE_H_
@@ -25,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/hash_ring.h"
 #include "common/status.h"
 #include "common/time.h"
 #include "location/identity.h"
@@ -84,7 +86,7 @@ class IdentityIndex {
 struct LocationCostModel {
   MicroDuration map_base = Micros(2);        ///< Fixed per-lookup cost.
   MicroDuration map_per_log2 = Micros(1);    ///< Per-comparison (tree descent).
-  MicroDuration hash_lookup = Micros(2);     ///< O(1) consistent-hash lookup.
+  MicroDuration hash_lookup = Micros(2);     ///< O(1) hash-bypass ring lookup.
   MicroDuration broadcast_per_se = Micros(40); ///< Per-SE cost of a miss probe.
   MicroDuration broadcast_rtt = Millis(30);  ///< Worst backbone RTT of a probe.
   int64_t bytes_per_entry = 64;              ///< RAM per identity-map entry.
@@ -198,40 +200,6 @@ class CachedLocationStage : public LocationStage {
   std::unordered_map<Identity, LocationEntry, IdentityHasher> cache_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
-};
-
-/// Consistent-hashing alternative (§3.5): O(1), no per-subscriber state, but
-/// one ring (and in the paper's terms, one full data replica) per identity
-/// type, and no selective placement.
-class ConsistentHashLocationStage : public LocationStage {
- public:
-  /// `partitions` is the number of data partitions; `vnodes_per_partition`
-  /// controls ring smoothness.
-  ConsistentHashLocationStage(uint32_t partitions, int vnodes_per_partition = 64,
-                              LocationCostModel model = LocationCostModel());
-
-  ResolveResult Resolve(const Identity& id, MicroTime now) override;
-  /// Bind is a no-op check: consistent hashing cannot honor an explicit
-  /// placement; returns FailedPrecondition when the requested placement
-  /// disagrees with the hash.
-  Status Bind(const Identity& id, const LocationEntry& entry) override;
-  Status Unbind(const Identity& id) override { (void)id; return Status::Ok(); }
-  int64_t EntryCount() const override { return 0; }
-  int64_t ApproxBytes() const override;
-  bool SupportsSelectivePlacement() const override { return false; }
-  std::string Name() const override { return "consistent-hash"; }
-
-  /// Partition an identity hashes to.
-  uint32_t PartitionOf(const Identity& id) const;
-
-  /// Number of full data replicas the paper says this approach needs (one
-  /// per identity type the UDR must index).
-  int RequiredDataReplicas() const { return kIdentityTypeCount; }
-
- private:
-  LocationCostModel model_;
-  uint32_t partitions_;
-  HashRing ring_;  ///< Shared vnode ring (same primitive as routing::PartitionMap).
 };
 
 }  // namespace udr::location

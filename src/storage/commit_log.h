@@ -1,6 +1,7 @@
-// The per-storage-element commit log. Every committed transaction appends one
-// entry containing its write set in serialization order. The log is the
-// single source of truth for three mechanisms of the paper:
+// The commit log of one partition, owned by its replica set. Every committed
+// transaction appends one entry containing its write set in serialization
+// order. The log is the single source of truth for three mechanisms of the
+// paper:
 //   * periodic checkpoint-to-disk (§3.1 decision 1): disk state == replay of
 //     the log up to the checkpoint sequence number;
 //   * master->slave replication (§3.2): slaves apply the identical entry

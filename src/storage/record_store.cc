@@ -129,9 +129,4 @@ void RecordStore::ForEach(
   for (const auto& [key, rec] : records_) fn(key, rec);
 }
 
-void RecordStore::Clear() {
-  records_.clear();
-  approx_bytes_ = 0;
-}
-
 }  // namespace udr::storage

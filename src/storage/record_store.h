@@ -75,9 +75,6 @@ class RecordStore {
   /// given insertion history).
   void ForEach(const std::function<void(RecordKey, const Record&)>& fn) const;
 
-  /// Removes everything.
-  void Clear();
-
  private:
   void AccountRemove(const Record& r) { approx_bytes_ -= r.ApproxBytes(); }
   void AccountAdd(const Record& r) { approx_bytes_ += r.ApproxBytes(); }

@@ -8,8 +8,7 @@ StorageElement::StorageElement(StorageElementConfig config,
                                sim::SimClock* clock, uint32_t replica_id)
     : config_(std::move(config)),
       clock_(clock),
-      replica_id_(replica_id),
-      txn_manager_(&store_, &log_, replica_id) {}
+      replica_id_(replica_id) {}
 
 MicroDuration StorageElement::ReadServiceTime() const {
   // The checkpoint pass steals cycles from the engine; amortized as a small
@@ -49,29 +48,20 @@ MicroTime StorageElement::LastCheckpointTime(MicroTime t) const {
   return (t / config_.checkpoint_period) * config_.checkpoint_period;
 }
 
-CommitSeq StorageElement::DurableSeqAt(MicroTime t) const {
-  if (config_.wal_sync_commit) {
-    // Every commit is forced to disk before acknowledging.
-    return log_.SeqAtTime(t);
-  }
-  return log_.SeqAtTime(LastCheckpointTime(t));
-}
-
-CrashRecovery StorageElement::CrashAndRecoverLocally(MicroTime crash_time) {
+CrashRecovery StorageElement::LocalRecovery(const CommitLog& log,
+                                            MicroTime crash_time) const {
   CrashRecovery out;
   out.crash_time = crash_time;
-  out.last_seq_before_crash = log_.SeqAtTime(crash_time);
-  out.recovered_seq = DurableSeqAt(crash_time);
+  out.last_seq_before_crash = log.SeqAtTime(crash_time);
+  // Under wal-sync every commit is forced to disk before it is acknowledged.
+  out.recovered_seq = log.SeqAtTime(
+      config_.wal_sync_commit ? crash_time : LastCheckpointTime(crash_time));
   out.lost_transactions =
       static_cast<int64_t>(out.last_seq_before_crash - out.recovered_seq);
   if (out.lost_transactions > 0) {
-    const LogEntry& first_lost = log_.At(out.recovered_seq + 1);
+    const LogEntry& first_lost = log.At(out.recovered_seq + 1);
     out.data_loss_window = crash_time - first_lost.commit_time;
   }
-  // RAM contents vanish; rebuild from the durable prefix.
-  store_.Clear();
-  log_.ReplayRange(&store_, 0, out.recovered_seq);
-  log_.TruncateAfter(out.recovered_seq);
   return out;
 }
 

@@ -12,11 +12,16 @@
 //     ("100% guaranteed durability"), at a large per-commit latency penalty —
 //     the paper notes this slides the F-R trade-off too far for most
 //     providers.
+//
+// The SE holds no log of its own: commits reach its store through the
+// partition's replica set (ReplicaSet::Write applies them and appends to the
+// partition's commit log), and the durability model is evaluated over that
+// log (LocalRecovery).
 
 #ifndef UDR_STORAGE_STORAGE_ELEMENT_H_
 #define UDR_STORAGE_STORAGE_ELEMENT_H_
 
-#include <memory>
+#include <algorithm>
 #include <string>
 
 #include "common/status.h"
@@ -25,7 +30,6 @@
 #include "sim/topology.h"
 #include "storage/commit_log.h"
 #include "storage/record_store.h"
-#include "storage/transaction.h"
 
 namespace udr::storage {
 
@@ -57,7 +61,7 @@ struct StorageElementConfig {
   double checkpoint_overhead_factor = 0.05;
 };
 
-/// Result of a crash + local-disk recovery.
+/// What a crash followed by recovery from local disk alone loses.
 struct CrashRecovery {
   MicroTime crash_time = 0;
   CommitSeq last_seq_before_crash = 0;
@@ -66,8 +70,8 @@ struct CrashRecovery {
   MicroDuration data_loss_window = 0;///< Age of the oldest lost commit.
 };
 
-/// One storage element: store + commit log + transaction manager + the
-/// durability/capacity model.
+/// One storage element: the RAM-resident record store plus its service-time,
+/// capacity and durability models.
 class StorageElement {
  public:
   StorageElement(StorageElementConfig config, sim::SimClock* clock,
@@ -80,14 +84,6 @@ class StorageElement {
 
   RecordStore& store() { return store_; }
   const RecordStore& store() const { return store_; }
-  CommitLog& log() { return log_; }
-  const CommitLog& log() const { return log_; }
-  TransactionManager& txn_manager() { return txn_manager_; }
-
-  /// Opens a transaction on this element.
-  Transaction Begin(IsolationLevel iso = IsolationLevel::kReadCommitted) {
-    return txn_manager_.Begin(iso);
-  }
 
   // -- Service-time model -----------------------------------------------------
 
@@ -127,13 +123,14 @@ class StorageElement {
 
   /// Time of the last completed checkpoint at or before `t`.
   MicroTime LastCheckpointTime(MicroTime t) const;
-  /// Sequence number captured by the last checkpoint at or before `t`.
-  CommitSeq DurableSeqAt(MicroTime t) const;
 
-  /// Simulates an unplanned SE failure at `crash_time` followed by recovery
-  /// from local disk only (no remote replica help): RAM state reverts to the
-  /// last durable sequence and the log suffix is discarded.
-  CrashRecovery CrashAndRecoverLocally(MicroTime crash_time);
+  /// What an unplanned failure of this SE at `crash_time` loses when it
+  /// recovers from local disk only (no peer holds the suffix), given the
+  /// commit log `log` of the partition it masters: the disk holds the log
+  /// prefix up to the last checkpoint (every commit under wal-sync), and the
+  /// entries after it are lost. Changes nothing; re-seeding a crashed copy
+  /// is ReplicaSet::RecoverReplica.
+  CrashRecovery LocalRecovery(const CommitLog& log, MicroTime crash_time) const;
 
   sim::SimClock* clock() const { return clock_; }
 
@@ -142,8 +139,6 @@ class StorageElement {
   sim::SimClock* clock_;
   uint32_t replica_id_;
   RecordStore store_;
-  CommitLog log_;
-  TransactionManager txn_manager_;
   /// Engine busy horizon from background streaming work (migration).
   MicroTime busy_until_ = 0;
 };

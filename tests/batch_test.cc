@@ -265,6 +265,8 @@ TEST(HashBypassTest, BypassedReadsMatchTheLocationStagePath) {
     RouteResult fast = udr.router().Route(id, 0, RouteIntent::kRead);
     ASSERT_TRUE(fast.status.ok()) << id.ToString();
     EXPECT_TRUE(fast.bypassed_location);
+    // Constant O(1) cost, whatever the population.
+    EXPECT_EQ(fast.resolve_cost, udr.config().location_model.hash_lookup);
     auto loc = udr.AuthoritativeLookup(id);
     ASSERT_TRUE(loc.ok());
     EXPECT_EQ(fast.partition, loc->partition) << id.ToString();

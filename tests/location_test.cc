@@ -1,5 +1,6 @@
-// Unit tests for src/location: identities, the three location stage
-// realizations and their cost/availability models.
+// Unit tests for src/location: identities, the provisioned and cached
+// location stages and their cost/availability models, and hash placement
+// through routing::PartitionMap (the paper's third realization).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,9 @@
 
 #include "location/identity.h"
 #include "location/location_stage.h"
+#include "routing/partition_map.h"
+#include "sim/network.h"
+#include "storage/storage_element.h"
 
 namespace udr::location {
 namespace {
@@ -243,30 +247,54 @@ TEST_F(CachedStageTest, BindSeedsCache) {
 }
 
 // ---------------------------------------------------------------------------
-// ConsistentHashLocationStage
+// Hash placement: the router's bypass resolves through PartitionMap's ring
 // ---------------------------------------------------------------------------
 
-TEST(ConsistentHashStageTest, ResolveIsConstantCostAndStateless) {
-  LocationCostModel model;
-  ConsistentHashLocationStage stage(16, 64, model);
-  ResolveResult r = stage.Resolve({IdentityType::kImsi, "214"}, 0);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_EQ(r.cost, model.hash_lookup);
-  EXPECT_EQ(stage.EntryCount(), 0);  // No per-subscriber state.
-  EXPECT_LT(r.entry.partition, 16u);
-}
+/// A commissioned map of `partitions` single-copy partitions on one SE.
+class HashPlacement {
+ public:
+  HashPlacement(uint32_t partitions, int vnodes_per_partition)
+      : network_(sim::Topology(1), &clock_),
+        se_(storage::StorageElementConfig(), &clock_),
+        map_(Config(partitions, vnodes_per_partition), &network_) {
+    map_.RegisterStorageElement(&se_, 0);
+    map_.Commission();
+  }
 
-TEST(ConsistentHashStageTest, DeterministicPlacement) {
-  ConsistentHashLocationStage a(16), b(16);
+  uint32_t PartitionOf(const Identity& id) const {
+    return map_.PartitionOfIdentity(id);
+  }
+
+ private:
+  static routing::PartitionMapConfig Config(uint32_t partitions, int vnodes) {
+    routing::PartitionMapConfig cfg;
+    cfg.replication_factor = 1;
+    cfg.partitions_per_se = static_cast<int>(partitions);
+    cfg.vnodes_per_partition = vnodes;
+    return cfg;
+  }
+
+  sim::SimClock clock_;
+  sim::Network network_;
+  storage::StorageElement se_;
+  routing::PartitionMap map_;
+};
+
+TEST(HashPlacementTest, DeterministicPlacementWithoutBindings) {
+  // No identity is bound anywhere: the partition is a pure function of the
+  // identity and the ring.
+  HashPlacement a(16, 64), b(16, 64);
   Identity id{IdentityType::kImsi, "214050000000042"};
   EXPECT_EQ(a.PartitionOf(id), b.PartitionOf(id));
+  EXPECT_LT(a.PartitionOf(id), 16u);
 }
 
-TEST(ConsistentHashStageTest, SpreadsLoadAcrossPartitions) {
-  ConsistentHashLocationStage stage(8, 128);
+TEST(HashPlacementTest, SpreadsLoadAcrossPartitions) {
+  HashPlacement placement(8, 128);
   std::vector<int> counts(8, 0);
   for (int i = 0; i < 8000; ++i) {
-    ++counts[stage.PartitionOf({IdentityType::kImsi, "s" + std::to_string(i)})];
+    ++counts[placement.PartitionOf(
+        {IdentityType::kImsi, "s" + std::to_string(i)})];
   }
   for (int c : counts) {
     EXPECT_GT(c, 8000 / 8 / 3) << "partition starved";
@@ -274,37 +302,19 @@ TEST(ConsistentHashStageTest, SpreadsLoadAcrossPartitions) {
   }
 }
 
-TEST(ConsistentHashStageTest, DifferentIdentityTypesHashDifferently) {
+TEST(HashPlacementTest, ImsiAndMsisdnLandApart) {
   // The paper's objection: each identity of a subscriber lands somewhere
   // else, so the data would need one full replica per identity type.
-  ConsistentHashLocationStage stage(64, 128);
+  HashPlacement placement(64, 128);
   int diverging = 0;
   for (int i = 0; i < 200; ++i) {
     std::string v = std::to_string(1000000 + i);
-    if (stage.PartitionOf({IdentityType::kImsi, v}) !=
-        stage.PartitionOf({IdentityType::kMsisdn, v})) {
+    if (placement.PartitionOf({IdentityType::kImsi, v}) !=
+        placement.PartitionOf({IdentityType::kMsisdn, v})) {
       ++diverging;
     }
   }
   EXPECT_GT(diverging, 150);
-  EXPECT_EQ(stage.RequiredDataReplicas(), kIdentityTypeCount);
-}
-
-TEST(ConsistentHashStageTest, RejectsSelectivePlacement) {
-  ConsistentHashLocationStage stage(16);
-  Identity id{IdentityType::kImsi, "214"};
-  uint32_t natural = stage.PartitionOf(id);
-  LocationEntry wrong{1, (natural + 1) % 16};
-  EXPECT_TRUE(stage.Bind(id, wrong).IsFailedPrecondition());
-  LocationEntry right{1, natural};
-  EXPECT_TRUE(stage.Bind(id, right).ok());
-  EXPECT_FALSE(stage.SupportsSelectivePlacement());
-}
-
-TEST(ConsistentHashStageTest, MemoryIsRingOnly) {
-  ConsistentHashLocationStage small(4, 16), large(256, 128);
-  EXPECT_EQ(small.ApproxBytes(), 4 * 16 * 12);
-  EXPECT_EQ(large.ApproxBytes(), 256 * 128 * 12);
 }
 
 }  // namespace

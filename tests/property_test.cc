@@ -10,6 +10,8 @@
 //   * replicated state converges: after any partition/crash episode heals,
 //     every up replica equals the master copy (CP mode), for every sync
 //     mode and replication factor;
+//   * a storage element's local-recovery loss equals a linear scan of the
+//     partition's commit log, at both durability settings;
 //   * the UDR data path keeps the identity indexes consistent: every
 //     provisioned identity resolves to a record that contains it, from
 //     every PoA, under every deployment shape;
@@ -19,6 +21,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -26,6 +29,7 @@
 #include "ldap/filter.h"
 #include "replication/replica_set.h"
 #include "replication/write_builder.h"
+#include "sim/network.h"
 #include "sim/partition_schedule.h"
 #include "workload/testbed.h"
 #include "workload/traffic.h"
@@ -303,84 +307,72 @@ INSTANTIATE_TEST_SUITE_P(
                       DeployParam{5, 1, 3, false}, DeployParam{3, 4, 2, true}));
 
 // ---------------------------------------------------------------------------
-// Storage durability: crash recovery == replay of the durable prefix
+// Storage durability: local-recovery loss == a linear scan of the log
 // ---------------------------------------------------------------------------
 
-class CrashRecoveryProperty : public ::testing::TestWithParam<uint64_t> {};
+class CrashRecoveryProperty
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
-TEST_P(CrashRecoveryProperty, RecoveredStateEqualsDurablePrefixReplay) {
-  Rng rng(GetParam());
+TEST_P(CrashRecoveryProperty, LossEqualsLinearScanOfTheLog) {
+  const auto [seed, wal_sync] = GetParam();
+  Rng rng(seed);
   sim::SimClock clock;
+  sim::Network network(sim::Topology(1), &clock);
   storage::StorageElementConfig cfg;
   cfg.checkpoint_period = Seconds(30);
+  cfg.wal_sync_commit = wal_sync;
   storage::StorageElement se(cfg, &clock);
+  replication::ReplicaSet rs(replication::ReplicaSetConfig(), {&se}, &network);
 
-  // Shadow log of committed operations for the reference replay.
-  storage::CommitLog shadow;
   for (int i = 0; i < 200; ++i) {
     clock.Advance(Millis(static_cast<int64_t>(rng.Uniform(2000)) + 1));
-    storage::Transaction txn = se.Begin();
-    std::vector<storage::WriteOp> ops;
-    int writes = 1 + static_cast<int>(rng.Uniform(3));
-    bool all_ok = true;
+    replication::WriteBuilder wb;
+    const int writes = 1 + static_cast<int>(rng.Uniform(3));
     for (int w = 0; w < writes; ++w) {
-      storage::RecordKey key = rng.Uniform(30);
+      const storage::RecordKey key = rng.Uniform(30);
       if (rng.Bernoulli(0.1)) {
-        if (!txn.DeleteRecord(key).ok()) all_ok = false;
-        storage::WriteOp op;
-        op.kind = storage::WriteKind::kDeleteRecord;
-        op.key = key;
-        ops.push_back(op);
+        wb.Delete(key);
       } else {
-        storage::Value v = static_cast<int64_t>(rng.Uniform(1000));
-        if (!txn.SetAttribute(key, "v", v).ok()) all_ok = false;
-        storage::WriteOp op;
-        op.kind = storage::WriteKind::kUpsertAttr;
-        op.key = key;
-        op.attr_id = storage::InternAttr("v");
-        op.attribute = {v, clock.Now(), 0};
-        ops.push_back(op);
+        wb.Set(key, "v", static_cast<int64_t>(rng.Uniform(1000)));
       }
     }
-    if (!all_ok || rng.Bernoulli(0.1)) {
-      txn.Abort();  // Aborted transactions must leave no trace.
-      continue;
-    }
-    auto seq = txn.Commit(clock.Now());
-    ASSERT_TRUE(seq.ok());
-    // Mirror committed ops (with identical stamps) into the shadow log.
-    for (auto& op : ops) {
-      if (op.kind == storage::WriteKind::kUpsertAttr) {
-        op.attribute.modified_at = clock.Now();
-      }
-    }
-    shadow.Append(clock.Now(), 0, std::move(ops));
+    ASSERT_TRUE(rs.Write(0, std::move(wb).Build()).status.ok());
   }
 
-  // Crash at a random instant; the recovered store must equal the shadow
-  // replayed up to the checkpointed prefix.
+  // Crash at a random instant after the last commit.
   clock.Advance(Millis(static_cast<int64_t>(rng.Uniform(60000))));
-  storage::CommitSeq durable = se.DurableSeqAt(clock.Now());
-  storage::CrashRecovery rec = se.CrashAndRecoverLocally(clock.Now());
-  EXPECT_EQ(rec.recovered_seq, durable);
+  const MicroTime crash = clock.Now();
+  const storage::CrashRecovery rec = se.LocalRecovery(rs.log(), crash);
 
-  storage::RecordStore reference;
-  shadow.ReplayRange(&reference, 0, durable);
-  EXPECT_EQ(se.store().Count(), reference.Count());
-  reference.ForEach([&](storage::RecordKey key, const storage::Record& want) {
-    const storage::Record* got = se.store().Find(key);
-    ASSERT_NE(got, nullptr) << "key " << key;
-    auto wv = want.Get("v");
-    auto gv = got->Get("v");
-    ASSERT_EQ(wv.has_value(), gv.has_value()) << "key " << key;
-    if (wv.has_value()) {
-      EXPECT_TRUE(storage::ValueEquals(*wv, *gv)) << "key " << key;
+  // Reference: the disk holds every commit up to the last checkpoint (every
+  // commit under wal-sync); commits in (checkpoint, crash] are lost, and the
+  // window runs from the first of them to the crash.
+  const MicroTime durable_until =
+      wal_sync ? crash : crash - crash % cfg.checkpoint_period;
+  int64_t committed = 0, lost = 0;
+  MicroDuration window = 0;
+  for (const storage::LogEntry& e : rs.log().entries()) {
+    if (e.commit_time > crash) continue;
+    ++committed;
+    if (e.commit_time > durable_until) {
+      if (lost == 0) window = crash - e.commit_time;
+      ++lost;
     }
-  });
+  }
+  EXPECT_EQ(committed, 200);
+  EXPECT_EQ(rec.crash_time, crash);
+  EXPECT_EQ(rec.last_seq_before_crash, static_cast<uint64_t>(committed));
+  EXPECT_EQ(rec.recovered_seq, static_cast<uint64_t>(committed - lost));
+  EXPECT_EQ(rec.lost_transactions, lost);
+  EXPECT_EQ(rec.data_loss_window, window);
+  if (wal_sync) {
+    EXPECT_EQ(rec.lost_transactions, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashRecoveryProperty,
-                         ::testing::Range<uint64_t>(301, 309));
+                         ::testing::Combine(::testing::Range<uint64_t>(301, 309),
+                                            ::testing::Bool()));
 
 // ---------------------------------------------------------------------------
 // Traffic accounting conservation

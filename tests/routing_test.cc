@@ -224,6 +224,25 @@ TEST_F(PlacementTest, SelectivePinsHomeSiteElseFallsBack) {
   ASSERT_TRUE(pick.ok());
 }
 
+TEST_F(PlacementTest, HashPlacementCannotHonorAHomeSite) {
+  // Consistent hashing cannot honor selective placement (§3.5): the hash
+  // deployment is not wrapped in SelectivePolicy, so a requested home site
+  // never moves a subscriber off its ring owner.
+  auto policy = MakePlacementPolicy(PlacementKind::kHash);
+  int placed_away_from_home = 0;
+  for (int i = 0; i < 30; ++i) {
+    Identity id{IdentityType::kImsi, "21407000000" + std::to_string(1000 + i)};
+    PlacementRequest req;
+    req.identity = &id;
+    req.home_site = static_cast<sim::SiteId>(i % 3);
+    auto pick = policy->PickPartition(map(), req);
+    ASSERT_TRUE(pick.ok());
+    EXPECT_EQ(*pick, map().PartitionOfIdentity(id));
+    if (map().master_site(*pick) != req.home_site) ++placed_away_from_home;
+  }
+  EXPECT_GT(placed_away_from_home, 0);
+}
+
 TEST(PlacementEmptyMapTest, EmptyMapIsFailedPrecondition) {
   sim::SimClock clock;
   sim::Network network(sim::Topology(2, sim::LatencyConfig()), &clock);

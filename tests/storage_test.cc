@@ -1,6 +1,5 @@
-// Unit tests for src/storage: records, the store, the commit log,
-// transactions (isolation anomalies included) and the storage element's
-// durability/capacity model.
+// Unit tests for src/storage: records, the store, the commit log and the
+// storage element's durability/capacity model.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include "storage/record.h"
 #include "storage/record_store.h"
 #include "storage/storage_element.h"
-#include "storage/transaction.h"
 
 namespace udr::storage {
 namespace {
@@ -337,169 +335,6 @@ TEST(ApplyWritesTest, SeededWriteSetsMatchPerOpPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Transactions
-// ---------------------------------------------------------------------------
-
-class TxnTest : public ::testing::Test {
- protected:
-  RecordStore store_;
-  CommitLog log_;
-  TransactionManager mgr_{&store_, &log_, /*replica_id=*/3};
-};
-
-TEST_F(TxnTest, CommitAppliesAtomically) {
-  Transaction txn = mgr_.Begin();
-  ASSERT_TRUE(txn.SetAttribute(1, "imsi", std::string("214")).ok());
-  ASSERT_TRUE(txn.SetAttribute(1, "msisdn", std::string("+34")).ok());
-  ASSERT_TRUE(txn.SetAttribute(2, "imsi", std::string("215")).ok());
-  EXPECT_FALSE(store_.Contains(1));  // Nothing visible before commit.
-  auto seq = txn.Commit(100);
-  ASSERT_TRUE(seq.ok());
-  EXPECT_EQ(*seq, 1u);
-  EXPECT_TRUE(store_.Contains(1));
-  EXPECT_TRUE(store_.Contains(2));
-  EXPECT_EQ(store_.Find(1)->Find("imsi")->modified_at, 100);
-  EXPECT_EQ(store_.Find(1)->Find("imsi")->writer, 3u);
-  EXPECT_EQ(log_.At(1).ops.size(), 3u);
-}
-
-TEST_F(TxnTest, AbortDiscardsWrites) {
-  Transaction txn = mgr_.Begin();
-  ASSERT_TRUE(txn.SetAttribute(1, "a", int64_t{1}).ok());
-  txn.Abort();
-  EXPECT_FALSE(store_.Contains(1));
-  EXPECT_EQ(log_.LastSeq(), 0u);
-  EXPECT_EQ(mgr_.aborts(), 1);
-}
-
-TEST_F(TxnTest, DestructorAborts) {
-  {
-    Transaction txn = mgr_.Begin();
-    ASSERT_TRUE(txn.SetAttribute(1, "a", int64_t{1}).ok());
-  }
-  EXPECT_FALSE(store_.Contains(1));
-  EXPECT_EQ(mgr_.aborts(), 1);
-}
-
-TEST_F(TxnTest, ReadYourOwnWrites) {
-  Transaction txn = mgr_.Begin();
-  ASSERT_TRUE(txn.SetAttribute(1, "a", int64_t{7}).ok());
-  auto v = txn.GetAttribute(1, "a");
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(ValueToString(*v), "7");
-  txn.Abort();
-}
-
-TEST_F(TxnTest, ReadCommittedDoesNotSeeDirtyWrites) {
-  store_.SetAttribute(1, "a", int64_t{1}, 0, 0);
-  Transaction writer = mgr_.Begin();
-  ASSERT_TRUE(writer.SetAttribute(1, "a", int64_t{99}).ok());
-
-  Transaction reader = mgr_.Begin(IsolationLevel::kReadCommitted);
-  auto v = reader.GetAttribute(1, "a");
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(ValueToString(*v), "1");  // Committed value, not the dirty 99.
-  reader.Abort();
-  writer.Abort();
-}
-
-TEST_F(TxnTest, ReadUncommittedSeesDirtyWrites) {
-  store_.SetAttribute(1, "a", int64_t{1}, 0, 0);
-  Transaction writer = mgr_.Begin();
-  ASSERT_TRUE(writer.SetAttribute(1, "a", int64_t{99}).ok());
-
-  Transaction reader = mgr_.Begin(IsolationLevel::kReadUncommitted);
-  auto v = reader.GetAttribute(1, "a");
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(ValueToString(*v), "99");  // The dirty-read anomaly (§3.2).
-  reader.Abort();
-  writer.Abort();
-}
-
-TEST_F(TxnTest, DirtyReadCanObserveAbortedData) {
-  // The canonical READ_UNCOMMITTED anomaly: the reader acted on data that
-  // never committed.
-  store_.SetAttribute(1, "barred", false, 0, 0);
-  Transaction writer = mgr_.Begin();
-  ASSERT_TRUE(writer.SetAttribute(1, "barred", true).ok());
-  Transaction reader = mgr_.Begin(IsolationLevel::kReadUncommitted);
-  auto dirty = reader.GetAttribute(1, "barred");
-  ASSERT_TRUE(dirty.ok());
-  EXPECT_EQ(ValueToString(*dirty), "true");
-  writer.Abort();  // The write never happened.
-  auto after = reader.GetAttribute(1, "barred");
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(ValueToString(*after), "false");
-  reader.Abort();
-}
-
-TEST_F(TxnTest, WriteWriteConflictAbortsSecondWriter) {
-  Transaction a = mgr_.Begin();
-  Transaction b = mgr_.Begin();
-  ASSERT_TRUE(a.SetAttribute(1, "x", int64_t{1}).ok());
-  Status st = b.SetAttribute(1, "x", int64_t{2});
-  EXPECT_TRUE(st.IsAborted());
-  EXPECT_EQ(mgr_.conflicts(), 1);
-  // Different record: no conflict.
-  EXPECT_TRUE(b.SetAttribute(2, "x", int64_t{2}).ok());
-  a.Abort();
-  // Lock released: b can now write record 1.
-  EXPECT_TRUE(b.SetAttribute(1, "x", int64_t{3}).ok());
-  ASSERT_TRUE(b.Commit(10).ok());
-  EXPECT_EQ(ValueToString(*store_.Find(1)->Get("x")), "3");
-}
-
-TEST_F(TxnTest, ReadsNeverBlockOnWriteLocks) {
-  // READ_COMMITTED chosen "to prevent locking from delaying reads" (§3.2).
-  Transaction writer = mgr_.Begin();
-  store_.SetAttribute(1, "a", int64_t{5}, 0, 0);
-  ASSERT_TRUE(writer.SetAttribute(1, "a", int64_t{6}).ok());
-  Transaction reader = mgr_.Begin();
-  EXPECT_TRUE(reader.GetAttribute(1, "a").ok());  // Succeeds immediately.
-  reader.Abort();
-  writer.Abort();
-}
-
-TEST_F(TxnTest, EmptyCommitAppendsNothing) {
-  Transaction txn = mgr_.Begin();
-  auto seq = txn.Commit(5);
-  ASSERT_TRUE(seq.ok());
-  EXPECT_EQ(*seq, 0u);
-  EXPECT_EQ(log_.LastSeq(), 0u);
-}
-
-TEST_F(TxnTest, DeleteRecordInTransaction) {
-  store_.SetAttribute(1, "a", int64_t{1}, 0, 0);
-  Transaction txn = mgr_.Begin();
-  ASSERT_TRUE(txn.DeleteRecord(1).ok());
-  EXPECT_FALSE(txn.RecordExists(1));     // Gone in own view.
-  EXPECT_TRUE(store_.Contains(1));       // Still committed.
-  ASSERT_TRUE(txn.Commit(10).ok());
-  EXPECT_FALSE(store_.Contains(1));
-}
-
-TEST_F(TxnTest, SerializationOrderMatchesCommitOrder) {
-  Transaction a = mgr_.Begin();
-  Transaction b = mgr_.Begin();
-  ASSERT_TRUE(a.SetAttribute(1, "x", int64_t{1}).ok());
-  ASSERT_TRUE(b.SetAttribute(2, "y", int64_t{2}).ok());
-  ASSERT_TRUE(b.Commit(10).ok());   // b commits first.
-  ASSERT_TRUE(a.Commit(20).ok());
-  EXPECT_EQ(log_.At(1).ops[0].key, 2u);
-  EXPECT_EQ(log_.At(2).ops[0].key, 1u);
-}
-
-TEST_F(TxnTest, MoveTransfersOwnership) {
-  Transaction a = mgr_.Begin();
-  ASSERT_TRUE(a.SetAttribute(1, "x", int64_t{1}).ok());
-  Transaction b = std::move(a);
-  EXPECT_FALSE(a.active());  // NOLINT(bugprone-use-after-move)
-  EXPECT_TRUE(b.active());
-  ASSERT_TRUE(b.Commit(10).ok());
-  EXPECT_TRUE(store_.Contains(1));
-}
-
-// ---------------------------------------------------------------------------
 // StorageElement durability model
 // ---------------------------------------------------------------------------
 
@@ -511,6 +346,27 @@ StorageElementConfig SmallSe() {
   return cfg;
 }
 
+/// One SE as the single copy of a partition on a one-site network: commits
+/// take the data path's ReplicaSet::Write, and no peer holds the log suffix.
+struct SingleCopy {
+  explicit SingleCopy(StorageElementConfig cfg)
+      : network(sim::Topology(1), &clock),
+        se(std::move(cfg), &clock),
+        rs(replication::ReplicaSetConfig(), {&se}, &network) {}
+
+  /// Commits one attribute upsert at the current time.
+  Status Put(RecordKey key, const std::string& attr, Value value) {
+    replication::WriteBuilder wb;
+    wb.Set(key, attr, std::move(value));
+    return rs.Write(0, std::move(wb).Build()).status;
+  }
+
+  sim::SimClock clock;
+  sim::Network network;
+  StorageElement se;
+  replication::ReplicaSet rs;
+};
+
 TEST(StorageElementTest, CheckpointTimesQuantized) {
   sim::SimClock clock;
   StorageElement se(SmallSe(), &clock);
@@ -520,47 +376,29 @@ TEST(StorageElementTest, CheckpointTimesQuantized) {
 }
 
 TEST(StorageElementTest, CrashLosesPostCheckpointCommits) {
-  sim::SimClock clock;
-  StorageElement se(SmallSe(), &clock);
+  SingleCopy p(SmallSe());
   // Commit at t=10s (before checkpoint at 60s) and t=70s (after).
-  clock.AdvanceTo(Seconds(10));
-  {
-    Transaction txn = se.Begin();
-    ASSERT_TRUE(txn.SetAttribute(1, "a", int64_t{1}).ok());
-    ASSERT_TRUE(txn.Commit(clock.Now()).ok());
-  }
-  clock.AdvanceTo(Seconds(70));
-  {
-    Transaction txn = se.Begin();
-    ASSERT_TRUE(txn.SetAttribute(2, "b", int64_t{2}).ok());
-    ASSERT_TRUE(txn.Commit(clock.Now()).ok());
-  }
-  clock.AdvanceTo(Seconds(90));
-  CrashRecovery rec = se.CrashAndRecoverLocally(clock.Now());
+  p.clock.AdvanceTo(Seconds(10));
+  ASSERT_TRUE(p.Put(1, "a", int64_t{1}).ok());
+  p.clock.AdvanceTo(Seconds(70));
+  ASSERT_TRUE(p.Put(2, "b", int64_t{2}).ok());
+  p.clock.AdvanceTo(Seconds(90));
+  CrashRecovery rec = p.se.LocalRecovery(p.rs.log(), p.clock.Now());
   EXPECT_EQ(rec.last_seq_before_crash, 2u);
   EXPECT_EQ(rec.recovered_seq, 1u);  // Checkpoint at 60s captured seq 1 only.
   EXPECT_EQ(rec.lost_transactions, 1);
   EXPECT_EQ(rec.data_loss_window, Seconds(20));
-  EXPECT_TRUE(se.store().Contains(1));
-  EXPECT_FALSE(se.store().Contains(2));
-  EXPECT_EQ(se.log().LastSeq(), 1u);
 }
 
 TEST(StorageElementTest, WalSyncModeLosesNothing) {
-  sim::SimClock clock;
   StorageElementConfig cfg = SmallSe();
   cfg.wal_sync_commit = true;
-  StorageElement se(cfg, &clock);
-  clock.AdvanceTo(Seconds(10));
-  {
-    Transaction txn = se.Begin();
-    ASSERT_TRUE(txn.SetAttribute(1, "a", int64_t{1}).ok());
-    ASSERT_TRUE(txn.Commit(clock.Now()).ok());
-  }
-  clock.AdvanceTo(Seconds(30));
-  CrashRecovery rec = se.CrashAndRecoverLocally(clock.Now());
+  SingleCopy p(cfg);
+  p.clock.AdvanceTo(Seconds(10));
+  ASSERT_TRUE(p.Put(1, "a", int64_t{1}).ok());
+  p.clock.AdvanceTo(Seconds(30));
+  CrashRecovery rec = p.se.LocalRecovery(p.rs.log(), p.clock.Now());
   EXPECT_EQ(rec.lost_transactions, 0);
-  EXPECT_TRUE(se.store().Contains(1));
 }
 
 TEST(StorageElementTest, WalSyncCostsLatency) {
@@ -585,18 +423,13 @@ TEST(StorageElementTest, ShorterCheckpointPeriodSlowsEngine) {
 }
 
 TEST(StorageElementTest, CapacityAdmission) {
-  sim::SimClock clock;
   StorageElementConfig cfg = SmallSe();
   cfg.ram_budget_bytes = 4096;
-  StorageElement se(cfg, &clock);
-  EXPECT_TRUE(se.CheckCapacity(1000).ok());
-  {
-    Transaction txn = se.Begin();
-    ASSERT_TRUE(txn.SetAttribute(1, "blob", std::string(3000, 'x')).ok());
-    ASSERT_TRUE(txn.Commit(0).ok());
-  }
-  EXPECT_TRUE(se.CheckCapacity(2000).IsResourceExhausted());
-  EXPECT_LT(se.FreeBytes(), 4096 - 3000);
+  SingleCopy p(cfg);
+  EXPECT_TRUE(p.se.CheckCapacity(1000).ok());
+  ASSERT_TRUE(p.Put(1, "blob", std::string(3000, 'x')).ok());
+  EXPECT_TRUE(p.se.CheckCapacity(2000).IsResourceExhausted());
+  EXPECT_LT(p.se.FreeBytes(), 4096 - 3000);
 }
 
 TEST(StorageElementTest, SubscriberCapacityArithmetic) {

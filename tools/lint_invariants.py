@@ -43,6 +43,15 @@ concurrency statically checkable — the ones a generic linter can't know:
                      second copy drifts from it, as the old RunTraffic and
                      scenario::Engine loops did.
 
+  write-path         ApplyWrites( may appear in src/ only under src/storage/
+                     and in src/replication/replica_set.cc. Every commit
+                     takes one path: ReplicaSet::Write/WriteBatch stamps the
+                     ops, applies them with RecordStore::ApplyWrites and
+                     appends them to the partition's commit log (slave
+                     apply, replay, migration and merges share it). A store
+                     mutated from anywhere else is a second write path that
+                     the log, failover and recovery never see.
+
   metric-name        every dotted metric-name string literal passed to
                      Add/Observe/RegisterCounter/RegisterHist in src/ must
                      appear (backticked) in the docs/METRICS.md table, and
@@ -92,6 +101,9 @@ TSA_ESCAPE_RE = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
 SIM_LOOP_RE = re.compile(r"\bAdvanceTo\s*\(")
 SIM_LOOP_HOMES = ("src/sim/", "src/workload/driver.cc")
 
+WRITE_PATH_RE = re.compile(r"\bApplyWrites\s*\(")
+WRITE_PATH_HOMES = ("src/storage/", "src/replication/replica_set.cc")
+
 # Metric registry call sites and the dotted-name shape they must use.
 METRIC_CALL_RE = re.compile(
     r"\b(?:Add|Observe|RegisterCounter|RegisterHist)\s*\(")
@@ -108,6 +120,7 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
     in_common = rel.startswith("src/common/")
     in_storage = rel.startswith(("src/storage/", "src/location/"))
     in_sim_loop_home = rel.startswith(SIM_LOOP_HOMES)
+    in_write_path_home = rel.startswith(WRITE_PATH_HOMES)
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
 
@@ -170,6 +183,14 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                 f"src/workload/driver.cc — feed the sim-loop driver "
                 f"(workload::Drive / DrainMigration) instead of growing "
                 f"another clock loop")
+
+        if (not in_write_path_home and "write-path" not in active
+                and WRITE_PATH_RE.search(code)):
+            violations.append(
+                f"{rel}:{lineno}: [write-path] ApplyWrites( outside "
+                f"src/storage/ and src/replication/replica_set.cc — commit "
+                f"through ReplicaSet::Write/WriteBatch, the one write path "
+                f"that stamps, applies and logs every write set")
 
         if TSA_ESCAPE_RE.search(code) and "tsa-escape" not in active:
             context = lines[max(0, lineno - 6):lineno]
