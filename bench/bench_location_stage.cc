@@ -10,8 +10,14 @@
 //     Here that is the router's hash bypass: PartitionMap's vnode ring
 //     (PartitionOfIdentity) plus the identity-hash record key, charged the
 //     lookup cost UdrNf wires into the bypass (location_model.hash_lookup).
+//
+// E8e measures the host layout of the shared IdentityIndex: heap bytes
+// (mallinfo2 delta) per binding over 100k SubscriberFactory subscribers,
+// five identities each. GATE: <= 76 B/binding (the node-based
+// unordered_map<Identity, LocationEntry> it replaced cost ~123 B).
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <map>
 
@@ -63,6 +69,47 @@ class HashPlacement {
   storage::StorageElement se_;
   routing::PartitionMap map_;
 };
+
+/// Heap bytes in use: small-chunk arena plus mmapped blocks.
+int64_t HeapInUse() {
+  const struct mallinfo2 mi = mallinfo2();
+  return static_cast<int64_t>(mi.uordblks + mi.hblkhd);
+}
+
+/// E8e: host bytes per binding of one IdentityIndex holding every identity
+/// of `subscribers` factory subscribers (IMSI, MSISDN, IMPI, SIP and tel
+/// IMPU). The temporaries of each Make() are freed before the next, so the
+/// in-use delta is the index alone.
+void PrintIndexHostBytes() {
+  constexpr int64_t kSubscribers = 100'000;
+  telecom::SubscriberFactory factory(42);
+  location::IdentityIndex index;
+  const int64_t before = HeapInUse();
+  for (int64_t i = 0; i < kSubscribers; ++i) {
+    const telecom::Subscriber sub = factory.Make(static_cast<uint64_t>(i));
+    const LocationEntry e{static_cast<storage::RecordKey>(i),
+                          static_cast<uint32_t>(i % 16)};
+    index.Bind(sub.ImsiId(), e);
+    index.Bind(sub.MsisdnId(), e);
+    index.Bind({IdentityType::kImpi, sub.impi}, e);
+    for (const std::string& impu : sub.impus) {
+      index.Bind({IdentityType::kImpu, impu}, e);
+    }
+  }
+  const double per_binding = static_cast<double>(HeapInUse() - before) /
+                             static_cast<double>(index.size());
+  const bool ok = per_binding <= 76.0;
+  Table t("E8e: IdentityIndex host bytes per binding (100k subscribers x "
+          "5 identities, mallinfo2 delta)",
+          {"bindings", "host B/binding", "slots+arena B/binding", "target",
+           "verdict"});
+  t.AddRow({Table::Num(index.size()), Table::Dbl(per_binding, 1),
+            Table::Dbl(static_cast<double>(index.HostBytes()) /
+                           static_cast<double>(index.size()),
+                       1),
+            "<= 76 B", ok ? "PASS" : "FAIL"});
+  t.Print();
+}
 
 void PrintLocationTables() {
   location::LocationCostModel model;
@@ -181,6 +228,7 @@ BENCHMARK(BM_ConsistentHashLookup);
 
 int main(int argc, char** argv) {
   PrintLocationTables();
+  PrintIndexHostBytes();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

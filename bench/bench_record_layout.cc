@@ -10,6 +10,11 @@
 //       against the legacy map lookup that builds a std::string key per
 //       call. GATE: 0 heap allocations per packed lookup, proven by a global
 //       operator new counter around the timed loop.
+//   L3  the self-check rows, plus RecordStore's slot-table overhead: the
+//       heap bytes (mallinfo2 delta) the store adds per record when 50k
+//       records move into it, on top of the records' own attribute storage.
+//       GATE: <= 60 B/record (the node-based unordered_map it replaced cost
+//       ~78 B).
 //
 // Emits BENCH_record_layout.json (to $UDR_BENCH_RECORD_LAYOUT_JSON, or
 // ./BENCH_record_layout.json) for the bench trajectory.
@@ -20,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <malloc.h>
 #include <map>
 #include <unistd.h>
 #include <new>
@@ -30,6 +36,7 @@
 #include "common/table.h"
 #include "storage/attr_pool.h"
 #include "storage/record.h"
+#include "storage/record_store.h"
 #include "telecom/subscriber.h"
 
 using namespace udr;
@@ -61,6 +68,7 @@ namespace {
 constexpr int64_t kSubscribers = 1'000'000;
 constexpr int64_t kMapSample = 200'000;  ///< Real-RSS sample of the map layout.
 constexpr int64_t kLookups = 2'000'000;
+constexpr int64_t kStoreRecords = 50'000;  ///< L3 slot-table sample.
 
 /// Resident set size from /proc/self/statm, in bytes.
 int64_t RssBytes() {
@@ -71,6 +79,12 @@ int64_t RssBytes() {
   std::fclose(f);
   if (n != 2) return 0;
   return pages_resident * sysconf(_SC_PAGESIZE);
+}
+
+/// Heap bytes in use: small-chunk arena plus mmapped blocks.
+int64_t HeapInUse() {
+  const struct mallinfo2 mi = mallinfo2();
+  return static_cast<int64_t>(mi.uordblks + mi.hblkhd);
 }
 
 int64_t NowNs() {
@@ -188,14 +202,31 @@ LookupResult MeasureLookup(const std::vector<Record>& records) {
   return r;
 }
 
+/// Heap bytes per record that a RecordStore adds when kStoreRecords records
+/// move into it. The moves hand over the attribute buffers, so the delta is
+/// the store's own structure: its slot array (or, before, its nodes and
+/// bucket array).
+double MeasureSlotOverhead(const std::vector<Record>& records) {
+  std::vector<Record> sample(records.begin(), records.begin() + kStoreRecords);
+  storage::RecordStore store;
+  const int64_t before = HeapInUse();
+  for (int64_t i = 0; i < kStoreRecords; ++i) {
+    store.PutRecord(static_cast<storage::RecordKey>(i),
+                    std::move(sample[static_cast<size_t>(i)]));
+  }
+  return static_cast<double>(HeapInUse() - before) /
+         static_cast<double>(kStoreRecords);
+}
+
 void WriteJson(const LayoutResult& layout, const LookupResult& lookup,
-               bool pass) {
+               double slot_overhead, bool pass) {
   std::string path = bench::JsonPath("UDR_BENCH_RECORD_LAYOUT_JSON",
                                      "BENCH_record_layout.json");
   bench::RunMeta meta;  // Wall-measured layout/lookup bench: no seed/sim time.
   meta.knobs = {{"subscribers", std::to_string(kSubscribers)},
                 {"map_sample", std::to_string(kMapSample)},
-                {"lookups", std::to_string(kLookups)}};
+                {"lookups", std::to_string(kLookups)},
+                {"store_records", std::to_string(kStoreRecords)}};
   FILE* f = bench::OpenJson(path, "bench_record_layout", meta);
   if (f == nullptr) return;
   std::fprintf(
@@ -214,6 +245,8 @@ void WriteJson(const LayoutResult& layout, const LookupResult& lookup,
                lookup.packed_ns_per_op, lookup.by_id_ns_per_op,
                lookup.map_ns_per_op, static_cast<long long>(kLookups),
                static_cast<unsigned long long>(lookup.packed_allocs));
+  std::fprintf(f, "  \"store\": {\"slot_overhead_bytes_per_record\": %.1f},\n",
+               slot_overhead);
   bench::CloseJson(f, path, "bench_record_layout", pass);
 }
 
@@ -233,6 +266,7 @@ int main() {
 
   LayoutResult layout = MeasureLayout(records, packed_rss_delta);
   LookupResult lookup = MeasureLookup(records);
+  const double slot_overhead = MeasureSlotOverhead(records);
 
   Table t1("L1: bytes/subscriber at 1M records (packed vs map layout)",
            {"layout", "model B/sub", "real RSS B/sub"});
@@ -257,7 +291,8 @@ int main() {
 
   const bool reduction_ok = layout.reduction >= 0.40;
   const bool alloc_ok = lookup.packed_allocs == 0;
-  const bool pass = reduction_ok && alloc_ok;
+  const bool slot_ok = slot_overhead <= 60.0;
+  const bool pass = reduction_ok && alloc_ok && slot_ok;
 
   Table t3("L3: self-check (any failed row breaks the CI smoke)",
            {"check", "value", "target", "verdict"});
@@ -266,9 +301,12 @@ int main() {
   t3.AddRow({"packed lookup allocations",
              Table::Num(static_cast<int64_t>(lookup.packed_allocs)), "0",
              alloc_ok ? "PASS" : "FAIL"});
+  t3.AddRow({"store slot overhead/record (50k, mallinfo2)",
+             Table::Dbl(slot_overhead, 1) + " B", "<= 60 B",
+             slot_ok ? "PASS" : "FAIL"});
   t3.Print();
 
-  WriteJson(layout, lookup, pass);
+  WriteJson(layout, lookup, slot_overhead, pass);
   (void)lookup.checksum;
   return pass ? 0 : 1;
 }

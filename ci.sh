@@ -11,11 +11,13 @@
 #                      emitted under build-release/; the obs-overhead bench
 #                      must also emit a Perfetto trace that parses as JSON
 #                      and covers the major data-path stages
-#   perfbench-smoke    the repo benchmark (perfbench/run.py) on storm_mix and
-#                      sharded_rw untraced, and fe_reads traced (its probes
-#                      drive UdrNf::Process); any non-zero exit fails, and so
-#                      does a modelled-output digest that differs from the
-#                      one pinned in tools/perfbench_digests.txt
+#   perfbench-smoke    the repo benchmark (perfbench/run.py) on all three
+#                      workloads untraced, and fe_reads traced too (its
+#                      probes drive UdrNf::Process); any non-zero exit fails,
+#                      and so does a modelled-output digest that differs from
+#                      the one pinned in tools/perfbench_digests.txt, or an
+#                      untraced rss_per_sub_b above its pin in
+#                      tools/perfbench_rss.txt
 #   asan-ubsan         Debug+ASan/UBSan ctest (-LE slow)
 #   tsan               ThreadSanitizer over the concurrent surface: exec_test,
 #                      obs_test, scenario_smoke, heat_test, migration_test
@@ -224,12 +226,14 @@ pass_stage
 # The repo benchmark must build and pass its own output checks: exit 0 only
 # when every check passed (1 = a failed check, 2 = no result). Its modelled
 # outputs are pinned: the digest= on each run's first stdout line must match
-# that run's line in tools/perfbench_digests.txt.
+# that run's line in tools/perfbench_digests.txt. Host bytes are pinned too:
+# each untraced run's rss_per_sub_b (a median over its repeats, stable to
+# ~0.01% run to run) must not exceed its line in tools/perfbench_rss.txt.
 begin_stage "perfbench-smoke"
 PERFBENCH_DIGESTS=tools/perfbench_digests.txt
-for workload in storm_mix sharded_rw fe_reads; do
-  trace=0
-  [[ "${workload}" == fe_reads ]] && trace=1
+PERFBENCH_RSS=tools/perfbench_rss.txt
+for run in "storm_mix 0" "sharded_rw 0" "fe_reads 0" "fe_reads 1"; do
+  read -r workload trace <<< "${run}"
   out="$(python3 perfbench/run.py --workload "${workload}" --seed 1 \
            --seconds 3 --trace "${trace}")"
   echo "${out}"
@@ -242,6 +246,19 @@ for workload in storm_mix sharded_rw fe_reads; do
     exit 1
   fi
   echo "-- ${workload} seed 1: digest ${got} matches ${PERFBENCH_DIGESTS}"
+  [[ "${trace}" == 0 ]] || continue
+  rss="$(tail -n 1 <<< "${out}" | python3 -c \
+           'import json, sys; print(json.load(sys.stdin)["metrics"]["rss_per_sub_b"]["value"])')"
+  pin="$(awk -v w="${workload}" '$1 == w && $2 == 1 { print $3 }' \
+           "${PERFBENCH_RSS}")"
+  if [[ -z "${pin}" ]] || ! python3 -c \
+       'import sys; sys.exit(float(sys.argv[1]) > float(sys.argv[2]))' \
+       "${rss}" "${pin}"; then
+    echo "PERFBENCH FAILED: ${workload} seed 1 rss_per_sub_b ${rss} exceeds" \
+         "the pin '${pin}' in ${PERFBENCH_RSS}"
+    exit 1
+  fi
+  echo "-- ${workload} seed 1: rss_per_sub_b ${rss} <= ${pin}"
 done
 pass_stage
 

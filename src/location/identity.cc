@@ -16,10 +16,10 @@ const char* IdentityTypeName(IdentityType type) {
   return "?";
 }
 
-uint64_t HashIdentity(const Identity& id) {
+uint64_t HashIdentity(IdentityType type, std::string_view value) {
   uint64_t h = 14695981039346656037ULL;
-  h = (h ^ static_cast<uint8_t>(id.type)) * 1099511628211ULL;
-  for (unsigned char c : id.value) {
+  h = (h ^ static_cast<uint8_t>(type)) * 1099511628211ULL;
+  for (unsigned char c : value) {
     h = (h ^ c) * 1099511628211ULL;
   }
   // FNV-1a avalanches poorly in the high bits, and ring ownership compares

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 namespace udr::location {
 
@@ -42,9 +43,21 @@ struct Identity {
   }
 };
 
+/// A bound identity as the index stores it: the type and a view of the
+/// value bytes (valid until the index's next Bind/Unbind).
+struct IdentityView {
+  IdentityType type = IdentityType::kImsi;
+  std::string_view value;
+
+  Identity ToIdentity() const { return {type, std::string(value)}; }
+};
+
 /// FNV-1a hash of an identity (stable across platforms; used by the
 /// consistent-hashing location alternative).
-uint64_t HashIdentity(const Identity& id);
+uint64_t HashIdentity(IdentityType type, std::string_view value);
+inline uint64_t HashIdentity(const Identity& id) {
+  return HashIdentity(id.type, id.value);
+}
 
 struct IdentityHasher {
   size_t operator()(const Identity& id) const {

@@ -24,10 +24,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/status.h"
 #include "common/time.h"
 #include "location/identity.h"
@@ -45,40 +47,81 @@ struct LocationEntry {
   }
 };
 
-/// The identity -> location bindings of one UDR: one hash map over every
-/// identity type plus per-type counts (the modelled tree depth of each
-/// type's index) and the summed identity-value bytes (the modelled RAM).
-/// The router owns the authoritative instance; ProvisionedLocationStage
-/// instances resolve against it instead of keeping copies of their own.
+/// The identity -> location bindings of one UDR: one index per identity
+/// type (§3.3.1), each an open-addressed flat table (common/flat_table.h).
+/// A 32-byte slot holds the LocationEntry, a tag of the identity's hash and
+/// the value's length, plus the value itself when it fits in 16 bytes (IMSI
+/// 15, MSISDN 12, tel IMPU 16). Longer values (IMPI, SIP IMPU, ~50 bytes)
+/// live in the table's byte arena and the slot keeps their offset. There is
+/// no per-binding heap node and no std::string. Arena bytes of unbound
+/// values are reclaimed when the table grows, and as soon as they exceed
+/// both the live arena bytes and the slot count.
+///
+/// The per-type counts (the modelled tree depth of each type's index) are
+/// the tables' sizes; value_bytes() sums the bound values' lengths (the
+/// modelled RAM). Iteration order is unspecified: callers that need an
+/// order sort. The router owns the authoritative instance;
+/// ProvisionedLocationStage instances resolve against it instead of keeping
+/// copies of their own.
 class IdentityIndex {
  public:
-  using Map = std::unordered_map<Identity, LocationEntry, IdentityHasher>;
+  using Visitor = std::function<void(IdentityView, const LocationEntry&)>;
 
   /// Inserts or overwrites a binding.
   void Bind(const Identity& id, const LocationEntry& entry);
   /// Removes a binding; false when `id` was not bound.
   bool Unbind(const Identity& id);
 
-  /// The binding of `id`; nullptr when unbound.
-  const LocationEntry* Find(const Identity& id) const {
-    auto it = map_.find(id);
-    return it == map_.end() ? nullptr : &it->second;
-  }
+  /// The binding of `id`; empty when unbound.
+  std::optional<LocationEntry> Find(const Identity& id) const;
 
   /// Bound identities of one type / of every type.
   int64_t CountOf(IdentityType type) const {
-    return counts_[static_cast<int>(type)];
+    return static_cast<int64_t>(tables_[static_cast<int>(type)].slots.size());
   }
-  int64_t size() const { return static_cast<int64_t>(map_.size()); }
+  int64_t size() const;
   /// Sum of the bound identity values' lengths.
   int64_t value_bytes() const { return value_bytes_; }
 
-  /// Every binding (container and insertion order are those of the map).
-  const Map& map() const { return map_; }
+  /// Drops every binding and frees the tables.
+  void Clear();
+
+  /// Visits every binding of `type` / of every type, in unspecified order.
+  /// The view is valid only during the call; `fn` must not Bind or Unbind.
+  void ForEach(IdentityType type, const Visitor& fn) const;
+  void ForEach(const Visitor& fn) const;
+
+  /// Host bytes held: slot arrays plus arena capacity.
+  int64_t HostBytes() const;
+  /// Arena bytes of bound values / of unbound values awaiting reclaim.
+  int64_t arena_live_bytes() const;
+  int64_t arena_dead_bytes() const;
 
  private:
-  Map map_;
-  int64_t counts_[kIdentityTypeCount] = {};
+  struct Slot {
+    storage::RecordKey key = 0;  ///< LocationEntry::key.
+    uint32_t partition = 0;      ///< LocationEntry::partition.
+    /// 0 = empty. Else the top 24 hash bits over a length code: 1..17 is an
+    /// inline value of 0..16 bytes, kArenaCode an arena value.
+    uint32_t meta = 0;
+    /// The value, zero-padded; or (arena offset, length) as two uint32s.
+    char bytes[16] = {};
+    bool empty() const { return meta == 0; }
+  };
+  struct Table {
+    FlatTable<Slot> slots;
+    std::vector<char> arena;
+    int64_t dead = 0;  ///< Arena bytes of unbound values.
+  };
+  struct Probe;
+
+  static Probe MakeProbe(const Identity& id);
+  static bool Matches(const Table& t, const Slot& s, const Probe& p);
+  static std::string_view ValueOf(const Table& t, const Slot& s);
+  /// Rewrites the arena with only the bound values' bytes.
+  static void Compact(Table* t);
+
+  Table tables_[kIdentityTypeCount];
   int64_t value_bytes_ = 0;
 };
 
@@ -197,7 +240,7 @@ class CachedLocationStage : public LocationStage {
   std::function<StatusOr<LocationEntry>(const Identity&)> authoritative_;
   std::function<int()> se_count_fn_;
   LocationCostModel model_;
-  std::unordered_map<Identity, LocationEntry, IdentityHasher> cache_;
+  IdentityIndex cache_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
 };

@@ -36,12 +36,12 @@ MigrationTaskSpec PrimaryMoveSpec(const routing::PartitionMap& map,
 /// Builds one subscriber re-home spec, estimating the transfer from the
 /// master copy of the record being moved.
 MigrationTaskSpec RehomeSpec(const routing::PartitionMap& map,
-                             const Identity& id,
+                             location::IdentityView id,
                              const location::LocationEntry& entry,
                              uint32_t owner) {
   MigrationTaskSpec spec;
   spec.kind = TaskKind::kRehome;
-  spec.identity = id;
+  spec.identity = id.ToIdentity();
   spec.from_partition = entry.partition;
   spec.to_partition = owner;
   const ReplicaSet* rs = map.partition(entry.partition);
@@ -51,8 +51,13 @@ MigrationTaskSpec RehomeSpec(const routing::PartitionMap& map,
   return spec;
 }
 
-/// Deterministic task order: the router's binding table iterates in hash
-/// order, so every re-home planner sorts by identity before returning.
+/// Ring owner of a bound identity.
+uint32_t OwnerOf(const routing::PartitionMap& map, location::IdentityView id) {
+  return map.PartitionOfKey(location::HashIdentity(id.type, id.value));
+}
+
+/// Deterministic task order: the identity index iterates in slot order, so
+/// every re-home planner sorts by identity before returning.
 void FinalizeRehomePlan(MigrationPlan* plan) {
   std::sort(plan->tasks.begin(), plan->tasks.end(),
             [](const MigrationTaskSpec& a, const MigrationTaskSpec& b) {
@@ -115,15 +120,15 @@ MigrationPlan MigrationPlanner::PlanRehome(const routing::Router& router,
                                            location::IdentityType type) {
   MigrationPlan plan;
   if (map.partition_count() == 0) return plan;
-  for (const auto& [id, entry] : router.bindings()) {
-    if (id.type != type) continue;
-    uint32_t owner = map.PartitionOfIdentity(id);
-    if (owner == entry.partition) {
-      plan.already_homed.push_back(id);
-      continue;
-    }
-    plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
-  }
+  router.identity_index()->ForEach(
+      type, [&](location::IdentityView id, const location::LocationEntry& entry) {
+        uint32_t owner = OwnerOf(map, id);
+        if (owner == entry.partition) {
+          plan.already_homed.push_back(id.ToIdentity());
+          return;
+        }
+        plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
+      });
   FinalizeRehomePlan(&plan);
   return plan;
 }
@@ -134,12 +139,13 @@ MigrationPlan MigrationPlanner::PlanSplit(const routing::Router& router,
                                           uint32_t parent, uint32_t sibling) {
   MigrationPlan plan;
   if (map.partition_count() == 0) return plan;
-  for (const auto& [id, entry] : router.bindings()) {
-    if (id.type != type || entry.partition != parent) continue;
-    uint32_t owner = map.PartitionOfIdentity(id);
-    if (owner != sibling) continue;  // The split did not claim this arc half.
-    plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
-  }
+  router.identity_index()->ForEach(
+      type, [&](location::IdentityView id, const location::LocationEntry& entry) {
+        if (entry.partition != parent) return;
+        uint32_t owner = OwnerOf(map, id);
+        if (owner != sibling) return;  // The split did not claim this arc half.
+        plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
+      });
   FinalizeRehomePlan(&plan);
   return plan;
 }
@@ -150,12 +156,13 @@ MigrationPlan MigrationPlanner::PlanMerge(const routing::Router& router,
                                           uint32_t sibling) {
   MigrationPlan plan;
   if (map.partition_count() == 0) return plan;
-  for (const auto& [id, entry] : router.bindings()) {
-    if (id.type != type || entry.partition != sibling) continue;
-    uint32_t owner = map.PartitionOfIdentity(id);
-    if (owner == sibling) continue;  // Defensive: points should be gone.
-    plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
-  }
+  router.identity_index()->ForEach(
+      type, [&](location::IdentityView id, const location::LocationEntry& entry) {
+        if (entry.partition != sibling) return;
+        uint32_t owner = OwnerOf(map, id);
+        if (owner == sibling) return;  // Defensive: points should be gone.
+        plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
+      });
   FinalizeRehomePlan(&plan);
   return plan;
 }

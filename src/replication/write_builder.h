@@ -56,6 +56,8 @@ class WriteBuilder {
   /// Sets every attribute of `record` on `key` (used for record creation).
   WriteBuilder& PutRecord(storage::RecordKey key,
                           const storage::Record& record) {
+    // The commit log keeps this vector as it is: size it exactly.
+    ops_.reserve(ops_.size() + record.attribute_count());
     for (const storage::PackedAttr& e : record.entries()) {
       Set(key, e.name_id, e.attr.value);
     }

@@ -152,8 +152,8 @@ location::LocationStage* Router::StageAtSite(sim::SiteId site) const {
 }
 
 StatusOr<LocationEntry> Router::AuthoritativeLookup(const Identity& id) const {
-  const LocationEntry* entry = authoritative_.Find(id);
-  if (entry == nullptr) {
+  const std::optional<LocationEntry> entry = authoritative_.Find(id);
+  if (!entry) {
     return Status::NotFound("identity " + id.ToString() + " not provisioned");
   }
   return *entry;

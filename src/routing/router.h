@@ -22,7 +22,6 @@
 #define UDR_ROUTING_ROUTER_H_
 
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -118,20 +117,14 @@ class Router {
   StatusOr<location::LocationEntry> AuthoritativeLookup(
       const location::Identity& id) const;
   bool IsBound(const location::Identity& id) const {
-    return authoritative_.Find(id) != nullptr;
+    return authoritative_.Find(id).has_value();
   }
 
-  /// The authoritative index provisioned location stages resolve against.
+  /// The authoritative index provisioned location stages resolve against
+  /// (and the deployment layer walks to re-home hash-keyed subscribers
+  /// after the ring grows).
   const location::IdentityIndex* identity_index() const {
     return &authoritative_;
-  }
-
-  /// Read-only view of every authoritative binding (used by the deployment
-  /// layer to re-home hash-keyed subscribers after the ring grows).
-  const std::unordered_map<location::Identity, location::LocationEntry,
-                           location::IdentityHasher>&
-  bindings() const {
-    return authoritative_.map();
   }
 
   /// Records a binding in the identity index and at every PoA stage (a

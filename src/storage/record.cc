@@ -106,6 +106,11 @@ void Record::SetById(AttrId id, Value value, MicroTime at, uint32_t writer) {
     attr.writer = writer;
     return;
   }
+  if (attrs_.size() == attrs_.capacity()) {
+    // Grow a full vector by a quarter, not by doubling: records are created
+    // at their exact size, and one later attribute must not double them.
+    attrs_.reserve(attrs_.size() + std::max<size_t>(2, attrs_.size() / 4));
+  }
   PackedAttr entry;
   entry.name_id = id;
   entry.attr.value = std::move(value);

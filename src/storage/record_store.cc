@@ -1,20 +1,55 @@
 #include "storage/record_store.h"
 
+#include <utility>
+
 namespace udr::storage {
 
 const Record* RecordStore::Find(RecordKey key) const {
-  auto it = records_.find(key);
-  return it == records_.end() ? nullptr : &it->second;
+  if (key == kFreeKey) return max_key_record_ ? &*max_key_record_ : nullptr;
+  const size_t i =
+      slots_.Find(HashKey(key), [key](const Slot& s) { return s.key == key; });
+  return i == FlatTable<Slot>::kNone ? nullptr : &slots_.at(i).record;
+}
+
+Record* RecordStore::Lookup(RecordKey key) {
+  return const_cast<Record*>(std::as_const(*this).Find(key));
+}
+
+Record* RecordStore::Emplace(RecordKey key, bool* created) {
+  if (key == kFreeKey) {
+    *created = !max_key_record_;
+    if (*created) max_key_record_.emplace();
+    return &*max_key_record_;
+  }
+  auto [i, inserted] = slots_.FindOrInsert(
+      HashKey(key), [key](const Slot& s) { return s.key == key; }, HashOf);
+  Slot& slot = slots_.at(i);
+  if (inserted) slot.key = key;
+  *created = inserted;
+  return &slot.record;
+}
+
+bool RecordStore::Erase(RecordKey key) {
+  if (key == kFreeKey) {
+    if (!max_key_record_) return false;
+    max_key_record_.reset();
+    return true;
+  }
+  const size_t i =
+      slots_.Find(HashKey(key), [key](const Slot& s) { return s.key == key; });
+  if (i == FlatTable<Slot>::kNone) return false;
+  slots_.EraseAt(i, HashOf);
+  return true;
 }
 
 bool RecordStore::MutateRecord(RecordKey key,
                                const std::function<void(Record&)>& fn) {
-  auto it = records_.find(key);
-  if (it == records_.end()) return false;
-  AccountRemove(it->second);
-  fn(it->second);
-  it->second.bump_version();
-  AccountAdd(it->second);
+  Record* rec = Lookup(key);
+  if (rec == nullptr) return false;
+  AccountRemove(*rec);
+  fn(*rec);
+  rec->bump_version();
+  AccountAdd(*rec);
   return true;
 }
 
@@ -26,12 +61,12 @@ void RecordStore::SetAttribute(RecordKey key, std::string_view name,
 
 void RecordStore::SetAttribute(RecordKey key, AttrId attr_id, Value value,
                                MicroTime at, uint32_t writer) {
-  auto [it, inserted] = records_.try_emplace(key);
-  Record& rec = it->second;
-  if (!inserted) AccountRemove(rec);
-  rec.SetById(attr_id, std::move(value), at, writer);
-  rec.bump_version();
-  AccountAdd(rec);
+  bool created = false;
+  Record* rec = Emplace(key, &created);
+  if (!created) AccountRemove(*rec);
+  rec->SetById(attr_id, std::move(value), at, writer);
+  rec->bump_version();
+  AccountAdd(*rec);
 }
 
 void RecordStore::RemoveAttribute(RecordKey key, std::string_view name) {
@@ -40,12 +75,12 @@ void RecordStore::RemoveAttribute(RecordKey key, std::string_view name) {
 }
 
 void RecordStore::RemoveAttribute(RecordKey key, AttrId attr_id) {
-  auto it = records_.find(key);
-  if (it == records_.end()) return;
-  AccountRemove(it->second);
-  it->second.RemoveById(attr_id);
-  it->second.bump_version();
-  AccountAdd(it->second);
+  Record* rec = Lookup(key);
+  if (rec == nullptr) return;
+  AccountRemove(*rec);
+  rec->RemoveById(attr_id);
+  rec->bump_version();
+  AccountAdd(*rec);
 }
 
 void RecordStore::ApplyWrites(const std::vector<WriteOp>& ops) {
@@ -54,12 +89,8 @@ void RecordStore::ApplyWrites(const std::vector<WriteOp>& ops) {
     const RecordKey key = ops[begin].key;
     size_t end = begin + 1;
     while (end < ops.size() && ops[end].key == key) ++end;
-    auto it = records_.find(key);
-    Record* rec = nullptr;
-    if (it != records_.end()) {
-      rec = &it->second;
-      AccountRemove(*rec);
-    }
+    Record* rec = Lookup(key);
+    if (rec != nullptr) AccountRemove(*rec);
     for (size_t i = begin; i < end; ++i) {
       const WriteOp& op = ops[i];
       switch (op.kind) {
@@ -72,8 +103,8 @@ void RecordStore::ApplyWrites(const std::vector<WriteOp>& ops) {
               if (ops[j].kind == WriteKind::kDeleteRecord) break;
               if (ops[j].kind == WriteKind::kUpsertAttr) ++upserts;
             }
-            it = records_.try_emplace(key).first;
-            rec = &it->second;
+            bool created = false;
+            rec = Emplace(key, &created);
             rec->Reserve(upserts);
           }
           rec->SetById(op.attr_id, op.attribute.value, op.attribute.modified_at,
@@ -87,7 +118,7 @@ void RecordStore::ApplyWrites(const std::vector<WriteOp>& ops) {
           break;
         case WriteKind::kDeleteRecord:
           if (rec == nullptr) break;
-          records_.erase(it);
+          Erase(key);
           rec = nullptr;
           break;
       }
@@ -99,34 +130,29 @@ void RecordStore::ApplyWrites(const std::vector<WriteOp>& ops) {
 
 const Attribute* RecordStore::FindAttribute(RecordKey key,
                                             std::string_view name) const {
-  auto it = records_.find(key);
-  if (it == records_.end()) return nullptr;
-  return it->second.Find(name);
+  const Record* rec = Find(key);
+  return rec == nullptr ? nullptr : rec->Find(name);
 }
 
 void RecordStore::PutRecord(RecordKey key, Record record) {
-  auto it = records_.find(key);
-  if (it != records_.end()) {
-    AccountRemove(it->second);
-    it->second = std::move(record);
-    AccountAdd(it->second);
-  } else {
-    auto [pos, _] = records_.emplace(key, std::move(record));
-    AccountAdd(pos->second);
-  }
+  bool created = false;
+  Record* rec = Emplace(key, &created);
+  if (!created) AccountRemove(*rec);
+  *rec = std::move(record);
+  AccountAdd(*rec);
 }
 
 bool RecordStore::DeleteRecord(RecordKey key) {
-  auto it = records_.find(key);
-  if (it == records_.end()) return false;
-  AccountRemove(it->second);
-  records_.erase(it);
-  return true;
+  const Record* rec = Lookup(key);
+  if (rec == nullptr) return false;
+  AccountRemove(*rec);
+  return Erase(key);
 }
 
 void RecordStore::ForEach(
     const std::function<void(RecordKey, const Record&)>& fn) const {
-  for (const auto& [key, rec] : records_) fn(key, rec);
+  slots_.ForEach([&fn](const Slot& s) { fn(s.key, s.record); });
+  if (max_key_record_) fn(kFreeKey, *max_key_record_);
 }
 
 }  // namespace udr::storage

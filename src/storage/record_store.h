@@ -1,16 +1,40 @@
 // Committed-state record store: the RAM-resident hash-indexed table that a
 // storage element keeps for one (sub-)partition of the subscriber space.
+//
+// Host layout: one open-addressed slot array (common/flat_table.h) keyed by
+// the full 64-bit RecordKey. Each 40-byte slot holds the key and the Record
+// header inline (attribute vector + version), so a cold lookup touches the
+// slot and then the record's attribute storage, with no bucket array or
+// per-record heap node in between. The one key the slot array reserves as
+// its empty marker (UINT64_MAX) lives in a side slot, so every 64-bit key
+// works; hash-keyed records use HashIdentity values.
+//
+// Pointer rule: Find() and FindAttribute() return pointers into the slot
+// array. They stay valid only until the next mutation of THAT store (any
+// Set/Remove/ApplyWrites/PutRecord/DeleteRecord/MutateRecord): an insert
+// may grow and move the array, and an erase shifts later slots back. Reads
+// of other stores do not invalidate them. Callers, audited:
+//   * ReplicaSet::ReadRecordOn / ReadBatch / ReadRecord: copy or project
+//     the record before any write.
+//   * ReplicaSet::ReadAttrOn: compares the replica's and the master's
+//     attribute (two stores) and copies the value out.
+//   * ReplicaSet::RestoreConsistency: reads the master store while it only
+//     collects the merged write set; the merge is applied afterwards.
+//   * SliceBytes (replica_set.cc): sums ApproxBytes() per key, read-only.
+//   * migration planner RehomeSpec: reads ApproxBytes() once.
+//   * UdrNf::RehomeOne: works on a copy (ReplicaSet::ReadRecord) while it
+//     writes to the destination and deletes from the source.
 
 #ifndef UDR_STORAGE_RECORD_STORE_H_
 #define UDR_STORAGE_RECORD_STORE_H_
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string_view>
-#include <unordered_map>
-
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/status.h"
 #include "storage/commit_log.h"
 #include "storage/record.h"
@@ -20,7 +44,8 @@ namespace udr::storage {
 /// Hash-indexed in-memory record table with byte accounting.
 class RecordStore {
  public:
-  /// Looks up a record; nullptr when absent.
+  /// Looks up a record; nullptr when absent. Valid until this store's next
+  /// mutation (see the pointer rule above).
   const Record* Find(RecordKey key) const;
 
   /// In-place mutation with byte re-accounting. The record's footprint is
@@ -30,7 +55,7 @@ class RecordStore {
   /// is absent (`fn` is not called).
   bool MutateRecord(RecordKey key, const std::function<void(Record&)>& fn);
 
-  bool Contains(RecordKey key) const { return records_.count(key) > 0; }
+  bool Contains(RecordKey key) const { return Find(key) != nullptr; }
 
   /// Sets one attribute, creating the record if needed. The name is interned
   /// on first use; the AttrId overload is the log-replay fast path.
@@ -66,7 +91,9 @@ class RecordStore {
   bool DeleteRecord(RecordKey key);
 
   /// Number of records.
-  int64_t Count() const { return static_cast<int64_t>(records_.size()); }
+  int64_t Count() const {
+    return static_cast<int64_t>(slots_.size()) + (max_key_record_ ? 1 : 0);
+  }
 
   /// Approximate RAM usage in bytes.
   int64_t ApproxBytes() const { return approx_bytes_; }
@@ -76,10 +103,38 @@ class RecordStore {
   void ForEach(const std::function<void(RecordKey, const Record&)>& fn) const;
 
  private:
+  /// The slot array's empty marker; a record under this key lives in
+  /// max_key_record_.
+  static constexpr RecordKey kFreeKey = ~RecordKey{0};
+
+  struct Slot {
+    RecordKey key = kFreeKey;
+    Record record;
+    bool empty() const { return key == kFreeKey; }
+  };
+
+  /// Spreads sequential keys over the slot array (murmur3 fmix64).
+  static uint64_t HashKey(RecordKey key) {
+    key ^= key >> 33;
+    key *= 0xff51afd7ed558ccdULL;
+    key ^= key >> 33;
+    key *= 0xc4ceb9fe1a85ec53ULL;
+    key ^= key >> 33;
+    return key;
+  }
+  static uint64_t HashOf(const Slot& s) { return HashKey(s.key); }
+
+  Record* Lookup(RecordKey key);
+  /// The record under `key`, created empty when absent (`*created` says so).
+  Record* Emplace(RecordKey key, bool* created);
+  /// Drops the record under `key`; false when absent.
+  bool Erase(RecordKey key);
+
   void AccountRemove(const Record& r) { approx_bytes_ -= r.ApproxBytes(); }
   void AccountAdd(const Record& r) { approx_bytes_ += r.ApproxBytes(); }
 
-  std::unordered_map<RecordKey, Record> records_;
+  FlatTable<Slot> slots_;
+  std::optional<Record> max_key_record_;
   int64_t approx_bytes_ = 0;
 };
 

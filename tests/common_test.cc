@@ -1,10 +1,12 @@
 // Unit tests for src/common: Status/StatusOr, Rng, Histogram, strings,
-// time intervals, table formatting.
+// time intervals, table formatting, the open-addressed slot table.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
+#include "common/flat_table.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -403,6 +405,135 @@ TEST(TableTest, PrintAlignsColumns) {
   EXPECT_NE(out.find("col-a"), std::string::npos);
   EXPECT_NE(out.find("333"), std::string::npos);
   EXPECT_EQ(t.row_count(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// FlatTable
+// ---------------------------------------------------------------------------
+
+struct IntSlot {
+  uint64_t key = 0;
+  uint64_t value = 0;
+  bool used = false;
+  bool empty() const { return !used; }
+};
+
+/// A FlatTable<IntSlot> keyed through `hash`, checked op by op against a
+/// std::map oracle.
+template <typename Hash>
+class OracleTable {
+ public:
+  OracleTable(size_t min_capacity, Hash hash)
+      : table_(min_capacity), hash_(hash) {}
+
+  void Put(uint64_t key, uint64_t value) {
+    auto [i, inserted] = table_.FindOrInsert(
+        hash_(key), [key](const IntSlot& s) { return s.key == key; },
+        hash_of());
+    IntSlot& s = table_.at(i);
+    EXPECT_EQ(inserted, oracle_.count(key) == 0) << key;
+    s.key = key;
+    s.value = value;
+    s.used = true;
+    oracle_[key] = value;
+  }
+  void Erase(uint64_t key) {
+    const size_t i = Find(key);
+    EXPECT_EQ(i != FlatTable<IntSlot>::kNone, oracle_.count(key) == 1) << key;
+    if (i != FlatTable<IntSlot>::kNone) table_.EraseAt(i, hash_of());
+    oracle_.erase(key);
+  }
+  void CheckFind(uint64_t key) const {
+    const size_t i = Find(key);
+    auto it = oracle_.find(key);
+    ASSERT_EQ(i != FlatTable<IntSlot>::kNone, it != oracle_.end()) << key;
+    if (i != FlatTable<IntSlot>::kNone) {
+      EXPECT_EQ(table_.at(i).value, it->second) << key;
+    }
+  }
+  /// Full comparison, plus the load bound.
+  void CheckAll() const {
+    ASSERT_EQ(table_.size(), oracle_.size());
+    EXPECT_LE(table_.size() * 5, table_.capacity() * 4);
+    std::map<uint64_t, uint64_t> seen;
+    table_.ForEach([&](const IntSlot& s) { seen[s.key] = s.value; });
+    EXPECT_EQ(seen, oracle_);
+    for (const auto& [key, value] : oracle_) CheckFind(key);
+  }
+  size_t size() const { return oracle_.size(); }
+  const FlatTable<IntSlot>& table() const { return table_; }
+
+ private:
+  size_t Find(uint64_t key) const {
+    return table_.Find(hash_(key),
+                       [key](const IntSlot& s) { return s.key == key; });
+  }
+  auto hash_of() const {
+    return [this](const IntSlot& s) { return hash_(s.key); };
+  }
+
+  FlatTable<IntSlot> table_;
+  Hash hash_;
+  std::map<uint64_t, uint64_t> oracle_;
+};
+
+/// Random puts, erases and finds over a small key space, in a put-heavy
+/// phase, an erase-heavy phase (long backward shifts) and a mixed phase.
+template <typename Hash>
+void RunOracleOps(OracleTable<Hash>* t, Rng* rng, int ops,
+                  uint64_t key_space) {
+  for (int i = 0; i < ops; ++i) {
+    const int phase = (3 * i) / ops;  // 0: put-heavy, 1: erase-heavy, 2: mixed
+    const int put_pct = phase == 0 ? 70 : phase == 1 ? 15 : 45;
+    const uint64_t r = rng->Uniform(100);
+    uint64_t key = rng->Uniform(key_space);
+    if (key == 7) key = ~uint64_t{0};  // Keep the extremes in play.
+    if (key == 11) key = 0;
+    if (r < static_cast<uint64_t>(put_pct)) {
+      t->Put(key, rng->Next());
+    } else if (r < 90) {
+      t->Erase(key);
+    } else {
+      t->CheckFind(key);
+    }
+    if (i % 4096 == 0) t->CheckAll();
+  }
+  t->CheckAll();
+}
+
+TEST(FlatTableTest, MatchesMapOracleWithWellSpreadHash) {
+  Rng rng(17);
+  OracleTable t(1, [](uint64_t k) { return k * 0x9E3779B97F4A7C15ULL; });
+  RunOracleOps(&t, &rng, 120'000, 4096);
+}
+
+TEST(FlatTableTest, MatchesMapOracleUnderForcedCollisions) {
+  // Eight home buckets for every key: probe runs wrap the array and every
+  // erase shifts long runs back.
+  Rng rng(23);
+  OracleTable t(2, [](uint64_t k) { return k % 8; });
+  RunOracleOps(&t, &rng, 100'000, 512);
+}
+
+TEST(FlatTableTest, EraseEverythingLeavesNoTombstones) {
+  OracleTable t(4, [](uint64_t k) { return k & 3; });
+  for (uint64_t k = 0; k < 200; ++k) t.Put(k, k);
+  for (uint64_t k = 0; k < 200; ++k) t.Erase(k);
+  t.CheckAll();
+  size_t occupied = 0;
+  t.table().ForEach([&](const IntSlot&) { ++occupied; });
+  EXPECT_EQ(occupied, 0u);
+  // A fresh key still lands and is found after the runs collapsed.
+  t.Put(3, 9);
+  t.CheckAll();
+}
+
+TEST(FlatTableTest, GrowsAtFourFifthsLoad) {
+  OracleTable t(16, [](uint64_t k) { return k; });
+  for (uint64_t k = 0; k < 12; ++k) t.Put(k, k);
+  EXPECT_EQ(t.table().capacity(), 16u);
+  t.Put(12, 12);
+  EXPECT_EQ(t.table().capacity(), 32u);
 }
 
 }  // namespace

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "location/identity.h"
 #include "location/location_stage.h"
 #include "routing/partition_map.h"
@@ -244,6 +248,234 @@ TEST_F(CachedStageTest, BindSeedsCache) {
   ResolveResult r = stage_.Resolve({IdentityType::kImsi, "x"}, 0);
   EXPECT_FALSE(r.cache_miss);
   EXPECT_EQ(r.entry.key, 5u);
+}
+
+TEST(CachedStageFlatCacheTest, CountsMatchAMapModelOverSeededSequence) {
+  // The cache is an IdentityIndex; hits, misses, EntryCount and the O(1)
+  // ApproxBytes must equal what a plain map cache gives for the same seeded
+  // bind / resolve / unbind / invalidate sequence.
+  LocationCostModel model;
+  std::map<std::string, LocationEntry> truth;
+  CachedLocationStage stage(
+      [&truth](const Identity& id) -> StatusOr<LocationEntry> {
+        auto it = truth.find(id.value);
+        if (it == truth.end()) return Status::NotFound("no");
+        return it->second;
+      },
+      [] { return 4; }, model);
+  std::map<Identity, LocationEntry> cache;  // The model.
+  int64_t hits = 0, misses = 0;
+  Rng rng(31337);
+  const auto identity = [&rng] {
+    const uint64_t n = rng.Uniform(400);
+    // Short values stay inline in the slot, IMPI-length ones go to the arena.
+    return n % 3 == 0
+               ? Identity{IdentityType::kImpi,
+                          std::to_string(n) + "@ims.mnc001.mcc001.3gppnetwork.org"}
+               : Identity{IdentityType::kImsi, "21401" + std::to_string(n)};
+  };
+  for (int step = 0; step < 20'000; ++step) {
+    const Identity id = identity();
+    switch (rng.Uniform(10)) {
+      case 0: {  // Provisioning bind.
+        const LocationEntry e{rng.Uniform(1000), static_cast<uint32_t>(step % 7)};
+        truth[id.value] = e;
+        ASSERT_TRUE(stage.Bind(id, e).ok());
+        cache[id] = e;
+        break;
+      }
+      case 1:
+        truth.erase(id.value);
+        ASSERT_TRUE(stage.Unbind(id).ok());
+        cache.erase(id);
+        break;
+      case 2:
+        if (rng.Uniform(50) == 0) {
+          stage.InvalidateAll();
+          cache.clear();
+        }
+        break;
+      default: {  // Resolve: a hit, or a miss that broadcasts and caches.
+        const ResolveResult r = stage.Resolve(id, 0);
+        auto it = cache.find(id);
+        if (it != cache.end()) {
+          ++hits;
+          EXPECT_FALSE(r.cache_miss);
+          EXPECT_EQ(r.entry, it->second);
+        } else {
+          ++misses;
+          EXPECT_TRUE(r.cache_miss);
+          auto t = truth.find(id.value);
+          if (t != truth.end()) cache[id] = t->second;
+        }
+        break;
+      }
+    }
+    int64_t bytes = 0;
+    for (const auto& [cached, _] : cache) {
+      bytes += model.bytes_per_entry + static_cast<int64_t>(cached.value.size());
+    }
+    ASSERT_EQ(stage.EntryCount(), static_cast<int64_t>(cache.size())) << step;
+    ASSERT_EQ(stage.ApproxBytes(), bytes) << step;
+  }
+  EXPECT_EQ(stage.cache_hits(), hits);
+  EXPECT_EQ(stage.cache_misses(), misses);
+  EXPECT_GT(hits, 1000);
+  EXPECT_GT(misses, 1000);
+}
+
+// ---------------------------------------------------------------------------
+// IdentityIndex: per-type flat tables against a std::map oracle
+// ---------------------------------------------------------------------------
+
+/// A random identity: every type, with values inline (<= 16 bytes), at the
+/// 16-byte edge, and IMPI/SIP-IMPU length (the arena).
+Identity RandomIdentity(Rng& rng, uint64_t space) {
+  const uint64_t n = rng.Uniform(space);
+  switch (rng.Uniform(5)) {
+    case 0:
+      return {IdentityType::kImsi, "21401" + std::to_string(1000000000 + n)};
+    case 1:
+      return {IdentityType::kMsisdn, "+346" + std::to_string(n)};
+    case 2:
+      return {IdentityType::kImpu, "tel:+3460" + std::to_string(1000000 + n)};
+    case 3:
+      return {IdentityType::kImpu,
+              "sip:+346" + std::to_string(n) + "@ims.mnc001.mcc214.3gppnetwork.org"};
+    default:
+      return {IdentityType::kImpi,
+              "21401" + std::to_string(n) + "@ims.mnc001.mcc214.3gppnetwork.org"};
+  }
+}
+
+void ExpectIndexMatches(const IdentityIndex& index,
+                        const std::map<Identity, LocationEntry>& oracle) {
+  ASSERT_EQ(index.size(), static_cast<int64_t>(oracle.size()));
+  std::map<Identity, LocationEntry> seen;
+  int64_t counts[kIdentityTypeCount] = {};
+  int64_t value_bytes = 0;
+  index.ForEach([&](IdentityView id, const LocationEntry& e) {
+    EXPECT_TRUE(seen.emplace(id.ToIdentity(), e).second);
+    ++counts[static_cast<int>(id.type)];
+    value_bytes += static_cast<int64_t>(id.value.size());
+  });
+  EXPECT_EQ(seen, oracle);
+  for (int t = 0; t < kIdentityTypeCount; ++t) {
+    EXPECT_EQ(index.CountOf(static_cast<IdentityType>(t)), counts[t]);
+  }
+  EXPECT_EQ(index.value_bytes(), value_bytes);
+  for (const auto& [id, e] : oracle) {
+    const std::optional<LocationEntry> got = index.Find(id);
+    ASSERT_TRUE(got.has_value()) << id.ToString();
+    EXPECT_EQ(*got, e) << id.ToString();
+  }
+}
+
+TEST(IdentityIndexTest, MatchesMapOracleOverRandomOps) {
+  Rng rng(8080);
+  IdentityIndex index;
+  std::map<Identity, LocationEntry> oracle;
+  const int kOps = 120'000;
+  for (int step = 0; step < kOps; ++step) {
+    // Phases: bind-heavy, unbind-heavy (backward shift), mixed.
+    const int phase = (3 * step) / kOps;
+    const uint64_t unbind_pct = phase == 0 ? 15 : phase == 1 ? 65 : 35;
+    const Identity id = RandomIdentity(rng, 3000);
+    const uint64_t r = rng.Uniform(100);
+    if (r < unbind_pct) {
+      EXPECT_EQ(index.Unbind(id), oracle.erase(id) == 1) << id.ToString();
+    } else if (r < 85) {
+      const LocationEntry e{rng.Next(), static_cast<uint32_t>(rng.Uniform(64))};
+      index.Bind(id, e);
+      oracle[id] = e;
+    } else {
+      const std::optional<LocationEntry> got = index.Find(id);
+      auto it = oracle.find(id);
+      ASSERT_EQ(got.has_value(), it != oracle.end()) << id.ToString();
+      if (got) {
+        EXPECT_EQ(*got, it->second);
+      }
+    }
+    if (step % 10'000 == 0) ExpectIndexMatches(index, oracle);
+  }
+  ExpectIndexMatches(index, oracle);
+  EXPECT_LE(index.arena_dead_bytes(), index.arena_live_bytes());
+}
+
+TEST(IdentityIndexTest, ArenaDeadBytesStayBelowLiveBytesUnderChurn) {
+  // Steady churn over IMPI-length identities: every unbind leaves its bytes
+  // dead in the arena until a compaction reclaims them.
+  Rng rng(5150);
+  IdentityIndex index;
+  const auto impi = [](uint64_t n) {
+    return Identity{IdentityType::kImpi,
+                    "21401" + std::to_string(n) + "@ims.mnc001.mcc214.3gppnetwork.org"};
+  };
+  for (uint64_t n = 0; n < 4000; ++n) index.Bind(impi(n), {n, 0});
+  for (int step = 0; step < 100'000; ++step) {
+    const uint64_t n = rng.Uniform(8000);
+    if (rng.Uniform(2) == 0) {
+      index.Unbind(impi(n));
+    } else {
+      index.Bind(impi(n), {n, 1});
+    }
+    ASSERT_LE(index.arena_dead_bytes(), index.arena_live_bytes()) << step;
+  }
+  EXPECT_GT(index.arena_live_bytes(), 0);
+  // Unbinding everything leaves at most one dead byte per slot.
+  std::vector<Identity> bound;
+  index.ForEach([&](IdentityView id, const LocationEntry&) {
+    bound.push_back(id.ToIdentity());
+  });
+  for (const Identity& id : bound) ASSERT_TRUE(index.Unbind(id));
+  EXPECT_EQ(index.size(), 0);
+  EXPECT_EQ(index.arena_live_bytes(), 0);
+  // At most one dead byte per slot, and 8000 IMPIs need at most 16384.
+  EXPECT_LE(index.arena_dead_bytes(), 16384);
+}
+
+TEST(IdentityIndexTest, SameHistoryIteratesIdentically) {
+  Rng rng_a(77), rng_b(77);
+  IdentityIndex a, b;
+  for (int step = 0; step < 30'000; ++step) {
+    const Identity ida = RandomIdentity(rng_a, 2000);
+    const Identity idb = RandomIdentity(rng_b, 2000);
+    if (rng_a.Uniform(3) == 0) {
+      rng_b.Uniform(3);
+      a.Unbind(ida);
+      b.Unbind(idb);
+    } else {
+      rng_b.Uniform(3);
+      a.Bind(ida, {static_cast<uint64_t>(step), 0});
+      b.Bind(idb, {static_cast<uint64_t>(step), 0});
+    }
+  }
+  std::vector<std::pair<Identity, LocationEntry>> in_a, in_b;
+  a.ForEach([&](IdentityView id, const LocationEntry& e) {
+    in_a.emplace_back(id.ToIdentity(), e);
+  });
+  b.ForEach([&](IdentityView id, const LocationEntry& e) {
+    in_b.emplace_back(id.ToIdentity(), e);
+  });
+  ASSERT_EQ(in_a.size(), in_b.size());
+  for (size_t i = 0; i < in_a.size(); ++i) {
+    EXPECT_EQ(in_a[i].first, in_b[i].first) << i;
+    EXPECT_EQ(in_a[i].second, in_b[i].second) << i;
+  }
+}
+
+TEST(IdentityIndexTest, ClearDropsEveryTypeAndFreesTheTables) {
+  IdentityIndex index;
+  Rng rng(1);
+  for (int i = 0; i < 500; ++i) index.Bind(RandomIdentity(rng, 1000), {1, 0});
+  EXPECT_GT(index.HostBytes(), 0);
+  index.Clear();
+  EXPECT_EQ(index.size(), 0);
+  EXPECT_EQ(index.value_bytes(), 0);
+  EXPECT_EQ(index.HostBytes(), 0);
+  for (int t = 0; t < kIdentityTypeCount; ++t) {
+    EXPECT_EQ(index.CountOf(static_cast<IdentityType>(t)), 0);
+  }
 }
 
 // ---------------------------------------------------------------------------

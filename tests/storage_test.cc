@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 
 #include "common/rng.h"
@@ -584,6 +586,133 @@ TEST(PackedLayoutPropertyTest, RecordsSurviveMigrationStreamChunks) {
     ASSERT_NE(got, nullptr) << "record " << key << " lost in migration";
     EXPECT_EQ(*got, original) << "record " << key;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Flat record slots: the open-addressed table against a std::map oracle
+// ---------------------------------------------------------------------------
+
+TEST(RecordGrowthTest, ExactSizedRecordGrowsByAQuarter) {
+  // A record created at its exact size (ApplyWrites, Projected) that gains
+  // one attribute grows by max(2, size/4), not by doubling.
+  std::vector<WriteOp> ops;
+  for (int i = 0; i < 18; ++i) {
+    WriteOp op;
+    op.key = 5;
+    op.attr_id = InternAttr("growth-" + std::to_string(i));
+    op.attribute.value = int64_t{i};
+    ops.push_back(op);
+  }
+  RecordStore store;
+  store.ApplyWrites(ops);
+  ASSERT_EQ(store.Find(5)->entries().capacity(), 18u);
+  store.SetAttribute(5, "growth-extra", int64_t{1}, 1, 0);
+  EXPECT_EQ(store.Find(5)->attribute_count(), 19u);
+  EXPECT_LE(store.Find(5)->entries().capacity(), 22u);
+}
+
+/// Keys drawn from a small space plus the extremes 0 and UINT64_MAX (the
+/// slot array's empty marker, kept in a side slot) and sequential-looking
+/// neighbours that collide on the low bits.
+RecordKey RandomKey(Rng& rng) {
+  switch (rng.Uniform(16)) {
+    case 0:
+      return 0;
+    case 1:
+      return ~RecordKey{0};
+    case 2:
+      return ~RecordKey{0} - 1;
+    default:
+      return rng.Uniform(3000) << (rng.Uniform(2) * 20);
+  }
+}
+
+/// Attribute-version content of a record, for the oracle comparison.
+std::map<AttrId, int64_t> ContentOf(const Record& r) {
+  std::map<AttrId, int64_t> out;
+  for (const PackedAttr& e : r.entries()) {
+    out[e.name_id] = std::get<int64_t>(e.attr.value);
+  }
+  return out;
+}
+
+TEST(FlatRecordStoreTest, MatchesMapOracleOverRandomOps) {
+  std::vector<AttrId> attrs;
+  for (int i = 0; i < 6; ++i) attrs.push_back(InternAttr("flat-" + std::to_string(i)));
+  Rng rng(4242);
+  RecordStore store;
+  std::map<RecordKey, std::map<AttrId, int64_t>> oracle;
+  const auto check_all = [&] {
+    ASSERT_EQ(store.Count(), static_cast<int64_t>(oracle.size()));
+    std::map<RecordKey, std::map<AttrId, int64_t>> seen;
+    int64_t bytes = 0;
+    store.ForEach([&](RecordKey k, const Record& r) {
+      EXPECT_TRUE(seen.emplace(k, ContentOf(r)).second) << "key twice " << k;
+      bytes += r.ApproxBytes();
+    });
+    EXPECT_EQ(seen, oracle);
+    EXPECT_EQ(store.ApproxBytes(), bytes);
+  };
+  const int kOps = 150'000;
+  for (int step = 0; step < kOps; ++step) {
+    // Phases: insert-heavy, erase-heavy (backward shift), mixed.
+    const int phase = (3 * step) / kOps;
+    const uint64_t erase_pct = phase == 0 ? 10 : phase == 1 ? 60 : 30;
+    const RecordKey key = RandomKey(rng);
+    const uint64_t r = rng.Uniform(100);
+    if (r < erase_pct) {
+      EXPECT_EQ(store.DeleteRecord(key), oracle.erase(key) == 1) << key;
+    } else if (r < erase_pct + 10) {
+      const AttrId a = attrs[rng.Uniform(attrs.size())];
+      store.RemoveAttribute(key, a);
+      auto it = oracle.find(key);
+      if (it != oracle.end()) it->second.erase(a);
+    } else if (r < 90) {
+      const AttrId a = attrs[rng.Uniform(attrs.size())];
+      const int64_t v = static_cast<int64_t>(rng.Uniform(1000));
+      store.SetAttribute(key, a, v, step, 0);
+      oracle[key][a] = v;
+    } else {
+      const Record* rec = store.Find(key);
+      auto it = oracle.find(key);
+      ASSERT_EQ(rec != nullptr, it != oracle.end()) << key;
+      if (rec != nullptr) {
+        EXPECT_EQ(ContentOf(*rec), it->second) << key;
+      }
+    }
+    if (step % 5000 == 0) check_all();
+  }
+  check_all();
+  for (RecordKey k : {RecordKey{0}, ~RecordKey{0}}) {
+    store.SetAttribute(k, attrs[0], int64_t{k == 0 ? 1 : 2}, 0, 0);
+    ASSERT_NE(store.Find(k), nullptr) << k;
+    EXPECT_EQ(std::get<int64_t>(store.Find(k)->FindById(attrs[0])->value),
+              k == 0 ? 1 : 2);
+    EXPECT_TRUE(store.DeleteRecord(k));
+    EXPECT_EQ(store.Find(k), nullptr);
+  }
+}
+
+TEST(FlatRecordStoreTest, SameHistoryIteratesIdentically) {
+  std::vector<WriteOp> ops;
+  Rng rng(99);
+  for (int i = 0; i < 20'000; ++i) {
+    WriteOp op;
+    op.key = RandomKey(rng);
+    op.attr_id = InternAttr("same-" + std::to_string(rng.Uniform(4)));
+    op.kind = rng.Uniform(5) == 0 ? WriteKind::kDeleteRecord
+                                  : WriteKind::kUpsertAttr;
+    op.attribute.value = static_cast<int64_t>(i);
+    ops.push_back(op);
+  }
+  RecordStore a, b;
+  for (size_t i = 0; i < ops.size(); i += 97) {
+    const size_t end = std::min(ops.size(), i + 97);
+    std::vector<WriteOp> chunk(ops.begin() + i, ops.begin() + end);
+    a.ApplyWrites(chunk);
+    b.ApplyWrites(chunk);
+  }
+  ExpectSameStore(a, b, "same history");
 }
 
 }  // namespace

@@ -133,6 +133,24 @@ TEST_F(UdrNfTest, CreateSubscriberBindsAllIdentities) {
   EXPECT_EQ(udr_->SubscriberCount(), 1);
 }
 
+TEST_F(UdrNfTest, CreateSubscriberLogsAnExactSizeWriteSet) {
+  // The commit log keeps each write set's vector as built. A profile's
+  // write set is sized to its attribute count up front, so an 18-attribute
+  // subscriber holds 18 ops in the log, not 18 of a grown-by-doubling 32.
+  UdrNf::CreateSpec spec = SpecFor("214", "+34600");
+  for (int i = 0; spec.profile.attribute_count() < 18; ++i) {
+    spec.profile.Set("svc-" + std::to_string(i), int64_t{i}, 0, 0);
+  }
+  auto outcome = udr_->CreateSubscriber(spec, 0);
+  ASSERT_TRUE(outcome.ok());
+  const storage::CommitLog& log =
+      udr_->partition(outcome->entry.partition)->log();
+  ASSERT_FALSE(log.empty());
+  const std::vector<storage::WriteOp>& ops = log.entries().back().ops;
+  EXPECT_EQ(ops.size(), 18u);
+  EXPECT_EQ(ops.capacity(), ops.size());
+}
+
 TEST_F(UdrNfTest, DuplicateIdentityRejected) {
   ASSERT_TRUE(udr_->CreateSubscriber(SpecFor("214", "+34600"), 0).ok());
   auto dup = udr_->CreateSubscriber(SpecFor("214", "+34601"), 0);
@@ -465,7 +483,13 @@ TEST_F(UdrNfTest, ScaleOutStageResolvesFromTheSharedIndex) {
   for (uint32_t c = 0; c < udr_->cluster_count(); ++c) {
     stages.push_back(udr_->cluster(c)->location_stage());
   }
-  for (const auto& [id, entry] : udr_->router().bindings()) {
+  std::vector<std::pair<Identity, location::LocationEntry>> bindings;
+  index.ForEach([&](location::IdentityView id,
+                    const location::LocationEntry& entry) {
+    bindings.emplace_back(id.ToIdentity(), entry);
+  });
+  ASSERT_EQ(bindings.size(), 600u);
+  for (const auto& [id, entry] : bindings) {
     const MicroDuration expected_cost =
         model.map_base +
         model.map_per_log2 *

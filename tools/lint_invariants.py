@@ -13,14 +13,19 @@ concurrency statically checkable — the ones a generic linter can't know:
                      only with an inline justification marker.
 
   storage-string-map src/storage/ and src/location/ must not declare
-                     std::map<std::string, ...>. In storage it is the PR 6
+                     std::map<std::string, ...>, nor any node-based hash
+                     container (std::unordered_map / std::unordered_set, or
+                     their #include). In storage it is the PR 6
                      packed-layout regression guard; the legacy map form
                      exists only as an explicitly-marked boundary shim on
                      Record::ToMap/FromMap. In location it keeps an ordered
                      string-keyed identity map off the resolve path: every
                      provisioned stage resolves by hash against the router's
                      one IdentityIndex, and the O(log N) descent is only the
-                     modelled cost.
+                     modelled cost. The node-based ban keeps the host layout
+                     flat: records and identity bindings live in
+                     open-addressed slot arrays (common/flat_table.h), one
+                     heap block per table rather than one node per entry.
 
   raw-mutex          std::mutex / lock_guard / unique_lock / scoped_lock /
                      condition_variable (and #include <mutex>) are banned
@@ -86,6 +91,8 @@ WALL_CLOCK_PATTERNS = [
 ]
 
 STORAGE_MAP_RE = re.compile(r"std::map<\s*std::string\s*,")
+NODE_HASH_RE = re.compile(r"std::unordered_(?:map|set)\b|"
+                          r"#\s*include\s*<unordered_(?:map|set)>")
 
 RAW_MUTEX_PATTERNS = [
     (re.compile(r"std::(mutex|timed_mutex|recursive_mutex|shared_mutex|"
@@ -169,6 +176,12 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                     f"src/location/ — records key attributes by AttrId and "
                     f"identities resolve by hash in the shared IdentityIndex; "
                     f"use those or mark an explicit boundary shim")
+            elif NODE_HASH_RE.search(code):
+                violations.append(
+                    f"{rel}:{lineno}: [storage-string-map] node-based "
+                    f"std::unordered_map/unordered_set in src/storage/ or "
+                    f"src/location/ — keep the host layout flat: use "
+                    f"common/flat_table.h (RecordStore, IdentityIndex)")
 
         if not in_common and "raw-mutex" not in active:
             for pat, what in RAW_MUTEX_PATTERNS:
