@@ -20,7 +20,7 @@
 #                      tools/perfbench_rss.txt
 #   asan-ubsan         Debug+ASan/UBSan ctest (-LE slow)
 #   tsan               ThreadSanitizer over the concurrent surface: exec_test,
-#                      obs_test, scenario_smoke, heat_test, migration_test
+#                      obs_test, scenario_smoke, migration_test
 #
 # Usage: ./ci.sh [--skip-sanitizers] [--skip-clang]
 #   --skip-clang       skip the two clang-only stages (gcc-only hosts). They
@@ -81,7 +81,6 @@ REQUIRED_BENCHES=(
   bench_coalescer
   bench_fr_tradeoff
   bench_frash_summary
-  bench_heat_tier
   bench_latency
   bench_location_stage
   bench_migration
@@ -165,14 +164,12 @@ done
 export UDR_BENCH_JSON_PATH="${PWD}/build-release/BENCH_migration.json"
 export UDR_BENCH_RECORD_LAYOUT_JSON="${PWD}/build-release/BENCH_record_layout.json"
 export UDR_BENCH_SHARDED_SCALE_JSON="${PWD}/build-release/BENCH_sharded_scale.json"
-export UDR_BENCH_HEAT_TIER_JSON="${PWD}/build-release/BENCH_heat_tier.json"
 export UDR_BENCH_SCENARIOS_JSON="${PWD}/build-release/BENCH_scenarios.json"
 export UDR_BENCH_OBS_OVERHEAD_JSON="${PWD}/build-release/BENCH_obs_overhead.json"
 export UDR_OBS_TRACE_JSON="${PWD}/build-release/obs_trace.json"
 rm -f "${UDR_BENCH_JSON_PATH}" "${UDR_BENCH_RECORD_LAYOUT_JSON}" \
-      "${UDR_BENCH_SHARDED_SCALE_JSON}" "${UDR_BENCH_HEAT_TIER_JSON}" \
-      "${UDR_BENCH_SCENARIOS_JSON}" "${UDR_BENCH_OBS_OVERHEAD_JSON}" \
-      "${UDR_OBS_TRACE_JSON}"
+      "${UDR_BENCH_SHARDED_SCALE_JSON}" "${UDR_BENCH_SCENARIOS_JSON}" \
+      "${UDR_BENCH_OBS_OVERHEAD_JSON}" "${UDR_OBS_TRACE_JSON}"
 bench_failed=0
 for bench in build-release/bench/bench_*; do
   [[ -x "${bench}" ]] || continue
@@ -196,8 +193,8 @@ if [[ "${bench_failed}" != 0 ]]; then
   exit 1
 fi
 for json in "${UDR_BENCH_JSON_PATH}" "${UDR_BENCH_RECORD_LAYOUT_JSON}" \
-            "${UDR_BENCH_SHARDED_SCALE_JSON}" "${UDR_BENCH_HEAT_TIER_JSON}" \
-            "${UDR_BENCH_SCENARIOS_JSON}" "${UDR_BENCH_OBS_OVERHEAD_JSON}"; do
+            "${UDR_BENCH_SHARDED_SCALE_JSON}" "${UDR_BENCH_SCENARIOS_JSON}" \
+            "${UDR_BENCH_OBS_OVERHEAD_JSON}"; do
   if [[ ! -s "${json}" ]]; then
     echo "SMOKE FAILED: benchmark did not emit ${json}"
     exit 1
@@ -287,11 +284,11 @@ else
   # The dynamic checker runs over every layer the thread-safety annotations
   # describe: the sharded execution mode (exec_test: SPSC handoff, lock-free
   # AttrPool reads, metrics merging), the per-shard tracer handoff/merge
-  # (obs_test), plus the scenario/heat/migration layers whose structures now
+  # (obs_test), plus the scenario/migration layers whose structures now
   # carry annotated guards.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'exec_test|obs_test|scenario_smoke|heat_test|migration_test' -LE slow
+      -R 'exec_test|obs_test|scenario_smoke|migration_test' -LE slow
   pass_stage
 fi
 

@@ -42,41 +42,6 @@ void HashRing::AddNodes(uint32_t first, uint32_t count) {
   if (appended) std::sort(ring_.begin(), ring_.end());
 }
 
-void HashRing::RemoveNode(uint32_t node) {
-  if (nodes_.erase(node) == 0) return;
-  ring_.erase(std::remove_if(ring_.begin(), ring_.end(),
-                             [node](const auto& p) { return p.second == node; }),
-              ring_.end());
-}
-
-bool HashRing::SplitNode(uint32_t parent, uint32_t sibling) {
-  if (nodes_.count(parent) == 0 || nodes_.count(sibling) != 0) return false;
-  if (ring_.empty()) return false;
-
-  // A point at ring_[i] owns the arc (ring_[i-1].first, ring_[i].first]
-  // (wrapping), so the midpoint of that arc hands the lower half to the
-  // sibling while the parent keeps (mid, point]. Modular arithmetic on
-  // uint64_t handles the wrap-around arc for free.
-  std::vector<std::pair<uint64_t, uint32_t>> midpoints;
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    if (ring_[i].second != parent) continue;
-    const uint64_t point = ring_[i].first;
-    const uint64_t prev =
-        i == 0 ? ring_.back().first : ring_[i - 1].first;
-    const uint64_t arc = point - prev;  // Wraps when i == 0.
-    if (arc < 2) continue;              // Nothing left to split.
-    midpoints.emplace_back(prev + arc / 2, sibling);
-  }
-  if (midpoints.empty()) return false;
-
-  nodes_.insert(sibling);
-  const size_t old_size = ring_.size();
-  ring_.insert(ring_.end(), midpoints.begin(), midpoints.end());
-  std::sort(ring_.begin() + old_size, ring_.end());
-  std::inplace_merge(ring_.begin(), ring_.begin() + old_size, ring_.end());
-  return true;
-}
-
 uint32_t HashRing::NodeOfHash(uint64_t hash) const {
   assert(!ring_.empty());
   auto it = std::lower_bound(

@@ -28,20 +28,6 @@ class HashRing {
   /// once, instead of paying the per-add merge N times.
   void AddNodes(uint32_t first, uint32_t count);
 
-  /// Removes a node's points (e.g. a decommissioned partition).
-  void RemoveNode(uint32_t node);
-
-  /// Runtime split: inserts `sibling`'s points at the midpoint of every arc
-  /// currently owned by `parent`, so the sibling takes (roughly) the lower
-  /// half of each parent arc and **no other node's keys move** — unlike
-  /// AddNode, which steals ~1/(N+1) of every node's key space. The sibling
-  /// gets one point per parent point instead of the usual vnodes_per_node.
-  /// A later RemoveNode(sibling) undoes the split: each midpoint's keys fall
-  /// back to the arc successor (the parent point, unless a nested split put
-  /// a closer point there first). Returns false if `parent` is absent,
-  /// `sibling` already present, or every parent arc is too short to split.
-  bool SplitNode(uint32_t parent, uint32_t sibling);
-
   /// Node owning `hash`. The ring must be non-empty.
   uint32_t NodeOfHash(uint64_t hash) const;
 

@@ -24,14 +24,12 @@ ShardSlicer::ShardSlicer(int num_shards)
 
 ShardSlicer::ShardSlicer(const routing::PartitionMap* map, int num_shards)
     : num_shards_(num_shards < 1 ? 1 : num_shards), factory_(0), map_(map) {
-  // Deal live partitions round-robin across shards in id order: the shard
+  // Deal partitions round-robin across shards in id order: the shard
   // boundary follows the data path's own partition boundary, and the mapping
   // is a pure function of map state (deterministic replay).
-  partition_shard_.assign(map_->partition_count(), -1);
-  int next = 0;
+  partition_shard_.resize(map_->partition_count());
   for (uint32_t id = 0; id < map_->partition_count(); ++id) {
-    if (map_->partition_retired(id)) continue;
-    partition_shard_[id] = next++ % num_shards_;
+    partition_shard_[id] = static_cast<int>(id % num_shards_);
   }
 }
 

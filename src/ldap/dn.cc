@@ -4,6 +4,18 @@
 
 namespace udr::ldap {
 
+namespace {
+
+/// Appends `text` with ',' and '\' escaped, the two escapes Parse reads.
+void AppendEscaped(const std::string& text, std::string* out) {
+  for (char c : text) {
+    if (c == ',' || c == '\\') out->push_back('\\');
+    out->push_back(c);
+  }
+}
+
+}  // namespace
+
 StatusOr<Dn> Dn::Parse(const std::string& text) {
   if (text.size() > kMaxLength) {
     return Status::InvalidArgument("DN longer than " +
@@ -14,9 +26,14 @@ StatusOr<Dn> Dn::Parse(const std::string& text) {
   std::vector<std::string> parts;
   for (size_t i = 0; i < text.size(); ++i) {
     char c = text[i];
-    if (c == '\\' && i + 1 < text.size() && text[i + 1] == ',') {
-      current.push_back(',');
-      ++i;
+    if (c == '\\') {
+      // '\' escapes ',' and itself, as ToString writes them; any other use
+      // would print back as a different DN.
+      const char next = i + 1 < text.size() ? text[i + 1] : '\0';
+      if (next != ',' && next != '\\') {
+        return Status::InvalidArgument("dangling '\\' in DN: " + text);
+      }
+      current.push_back(text[++i]);
     } else if (c == ',') {
       // This separator opens RDN number parts.size() + 2.
       if (parts.size() + 2 > kMaxRdns) {
@@ -55,17 +72,14 @@ StatusOr<Dn> Dn::Parse(const std::string& text) {
 }
 
 std::string Dn::ToString() const {
-  std::vector<std::string> parts;
-  parts.reserve(rdns_.size());
+  std::string out;
   for (const Rdn& rdn : rdns_) {
-    std::string value;
-    for (char c : rdn.value) {
-      if (c == ',') value += "\\,";
-      else value.push_back(c);
-    }
-    parts.push_back(rdn.attr + "=" + value);
+    if (!out.empty()) out.push_back(',');
+    AppendEscaped(rdn.attr, &out);
+    out.push_back('=');
+    AppendEscaped(rdn.value, &out);
   }
-  return Join(parts, ",");
+  return out;
 }
 
 Dn Dn::Parent() const {

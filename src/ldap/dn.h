@@ -37,7 +37,8 @@ class Dn {
   static constexpr size_t kMaxLength = 16 * 1024;
   static constexpr size_t kMaxRdns = 64;
 
-  /// Parses "a=b,c=d,...". Escaped commas ("\,") are honored.
+  /// Parses "a=b,c=d,...". A backslash escapes ',' or itself ("\," and
+  /// "\\"); any other backslash is rejected with InvalidArgument.
   static StatusOr<Dn> Parse(const std::string& text);
 
   /// Serializes back to string form.

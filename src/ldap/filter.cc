@@ -6,6 +6,23 @@
 
 namespace udr::ldap {
 
+namespace {
+
+/// RFC 4512 attribute description: a name or numeric OID, options after
+/// ';'. An operator, parenthesis or blank in the name position would print
+/// as a different filter (or as none).
+bool IsAttributeDescription(std::string_view attr) {
+  if (attr.empty()) return false;
+  for (char c : attr) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '-' || c == '.' || c == ';';
+    if (!ok) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 Filter Filter::Eq(std::string attr, std::string value) {
   Filter f;
   f.kind_ = Kind::kEquality;
@@ -101,8 +118,9 @@ StatusOr<Filter> Filter::ParseInner(std::string_view text, size_t* pos,
       return Status::InvalidArgument("malformed filter item '" +
                                      std::string(item) + "'");
     }
-    if (f.attr_.empty()) {
-      return Status::InvalidArgument("empty attribute in filter item");
+    if (!IsAttributeDescription(f.attr_)) {
+      return Status::InvalidArgument("malformed attribute '" + f.attr_ +
+                                     "' in filter item");
     }
     *pos = end;
   }

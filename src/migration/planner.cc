@@ -92,7 +92,6 @@ MigrationPlan MigrationPlanner::PlanDecommission(
   std::vector<int64_t> counts(map.se_count(), 0);
   std::vector<uint32_t> draining;
   for (uint32_t p = 0; p < map.partition_count(); ++p) {
-    if (map.partition_retired(p)) continue;  // Holds nothing to drain.
     const ReplicaSet* rs = map.partition(p);
     int owner = map.IndexOfSe(rs->replica_se(rs->master_id()));
     if (owner == se_index) {
@@ -127,40 +126,6 @@ MigrationPlan MigrationPlanner::PlanRehome(const routing::Router& router,
           plan.already_homed.push_back(id.ToIdentity());
           return;
         }
-        plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
-      });
-  FinalizeRehomePlan(&plan);
-  return plan;
-}
-
-MigrationPlan MigrationPlanner::PlanSplit(const routing::Router& router,
-                                          const routing::PartitionMap& map,
-                                          location::IdentityType type,
-                                          uint32_t parent, uint32_t sibling) {
-  MigrationPlan plan;
-  if (map.partition_count() == 0) return plan;
-  router.identity_index()->ForEach(
-      type, [&](location::IdentityView id, const location::LocationEntry& entry) {
-        if (entry.partition != parent) return;
-        uint32_t owner = OwnerOf(map, id);
-        if (owner != sibling) return;  // The split did not claim this arc half.
-        plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
-      });
-  FinalizeRehomePlan(&plan);
-  return plan;
-}
-
-MigrationPlan MigrationPlanner::PlanMerge(const routing::Router& router,
-                                          const routing::PartitionMap& map,
-                                          location::IdentityType type,
-                                          uint32_t sibling) {
-  MigrationPlan plan;
-  if (map.partition_count() == 0) return plan;
-  router.identity_index()->ForEach(
-      type, [&](location::IdentityView id, const location::LocationEntry& entry) {
-        if (entry.partition != sibling) return;
-        uint32_t owner = OwnerOf(map, id);
-        if (owner == sibling) return;  // Defensive: points should be gone.
         plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
       });
   FinalizeRehomePlan(&plan);

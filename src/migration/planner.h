@@ -85,24 +85,6 @@ class MigrationPlanner {
   static MigrationPlan PlanDecommission(const routing::PartitionMap& map,
                                         int se_index);
 
-  /// Plans the subscriber movement of a runtime partition split: the ring
-  /// already carries `sibling`'s midpoint arcs (PartitionMap::
-  /// CommissionSplitSibling), so every bound identity of `type` still homed
-  /// on `parent` whose ring owner is now `sibling` becomes one re-home task
-  /// — the half-slice plan the throttled scheduler then executes. Identities
-  /// the split did not claim are untouched.
-  static MigrationPlan PlanSplit(const routing::Router& router,
-                                 const routing::PartitionMap& map,
-                                 location::IdentityType type, uint32_t parent,
-                                 uint32_t sibling);
-
-  /// Plans a merge drain: `sibling`'s ring points are already off the ring
-  /// (PartitionMap::BeginMerge), so every identity of `type` still homed on
-  /// it re-homes to its current ring owner — the parent, for arcs no later
-  /// split claimed.
-  static MigrationPlan PlanMerge(const routing::Router& router,
-                                 const routing::PartitionMap& map,
-                                 location::IdentityType type, uint32_t sibling);
 };
 
 }  // namespace udr::migration

@@ -104,7 +104,6 @@ struct OpOutcome {
   uint32_t partition = 0;
   storage::RecordKey key = 0;
   bool bypassed_location = false;  ///< Hash fast path skipped the stage.
-  bool from_cache = false;         ///< Read served by the PoA record cache.
   bool stale = false;              ///< Read served by a lagging slave copy.
   MicroDuration latency = 0;       ///< Op's own service share (no transit).
   uint32_t served_by = 0;          ///< Replica that executed the op.
@@ -126,7 +125,6 @@ struct BatchResult {
   MicroDuration resolve_cost = 0;  ///< Stage-1 total location-stage cost.
   int partition_groups = 0;        ///< Distinct replica sets dispatched to.
   int bypass_hits = 0;             ///< Ops routed via the hash fast path.
-  int cache_hits = 0;              ///< Reads served by the PoA record cache.
   int failed_ops = 0;
 
   bool ok() const { return failed_ops == 0; }

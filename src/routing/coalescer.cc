@@ -102,7 +102,6 @@ void Coalescer::Flush(Metrics::Counter& reason) {
       OpOutcome& op = flush.outcomes[cursor++];
       if (!op.ok()) ++out.failed_ops;
       if (op.bypassed_location) ++out.bypass_hits;
-      if (op.from_cache) ++out.cache_hits;
       out.outcomes.push_back(std::move(op));
     }
     queue_delay_.Observe(out.queue_delay);

@@ -59,7 +59,6 @@ struct EventOutcome {
   int coalesced_events = 0;  ///< Events that shared this flush.
   int partition_groups = 0;  ///< Fan-out of the whole shared dispatch.
   int bypass_hits = 0;       ///< This event's ops served by the hash fast path.
-  int cache_hits = 0;        ///< This event's reads served by the PoA cache.
   int failed_ops = 0;        ///< This event's failed ops (isolation is per op).
 
   bool ok() const { return failed_ops == 0; }

@@ -90,9 +90,6 @@ void PartitionMap::Commission() {
       partitions_.push_back(
           std::make_unique<ReplicaSet>(rs_cfg, std::move(members), network_));
       population_.push_back(0);
-      retired_.push_back(0);
-      draining_.push_back(0);
-      parent_.push_back(-1);
       ring_.AddNode(id);
       ++primary.commissioned;
     }
@@ -103,127 +100,9 @@ uint32_t PartitionMap::PartitionOfIdentity(const location::Identity& id) const {
   return PartitionOfKey(location::HashIdentity(id));
 }
 
-StatusOr<uint32_t> PartitionMap::CommissionSplitSibling(uint32_t parent) {
-  if (parent >= partitions_.size()) {
-    return Status::InvalidArgument("split of unknown partition " +
-                                   std::to_string(parent));
-  }
-  if (retired_[parent] != 0 || draining_[parent] != 0) {
-    return Status::FailedPrecondition("split parent " + std::to_string(parent) +
-                                      " is retired or draining");
-  }
-  if (ses_.empty()) return Status::FailedPrecondition("no storage elements");
-
-  // Primary placement: the split exists to relieve the parent's primary SE,
-  // so the sibling's primary goes to the least-primary-loaded *other* SE
-  // (same SE only when it is the sole one registered).
-  const std::vector<int> primaries = PrimariesPerSe();
-  ReplicaSet* parent_rs = partitions_[parent].get();
-  const int parent_primary = IndexOfSe(parent_rs->replica_se(parent_rs->master_id()));
-  int pick = -1;
-  for (size_t i = 0; i < ses_.size(); ++i) {
-    if (static_cast<int>(i) == parent_primary && ses_.size() > 1) continue;
-    if (pick < 0 || primaries[i] < primaries[pick]) pick = static_cast<int>(i);
-  }
-
-  // Secondary copies: other clusters first, least-loaded, stable order —
-  // the same dispersion preference Commission() applies.
-  std::vector<size_t> candidates;
-  for (size_t j = 0; j < ses_.size(); ++j) {
-    if (static_cast<int>(j) != pick) candidates.push_back(j);
-  }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](size_t a, size_t b) {
-                     bool a_other = ses_[a].cluster != ses_[pick].cluster;
-                     bool b_other = ses_[b].cluster != ses_[pick].cluster;
-                     if (a_other != b_other) return a_other;
-                     if (ses_[a].secondary_load != ses_[b].secondary_load) {
-                       return ses_[a].secondary_load < ses_[b].secondary_load;
-                     }
-                     return a < b;
-                   });
-  if (static_cast<int>(candidates.size()) + 1 > config_.replication_factor) {
-    candidates.resize(static_cast<size_t>(config_.replication_factor - 1));
-  }
-
-  const uint32_t id = static_cast<uint32_t>(partitions_.size());
-  if (!ring_.SplitNode(parent, id)) {
-    return Status::Internal("ring split of partition " +
-                            std::to_string(parent) + " produced no points");
-  }
-
-  std::vector<storage::StorageElement*> members;
-  members.push_back(ses_[pick].se);
-  for (size_t j : candidates) {
-    members.push_back(ses_[j].se);
-    ++ses_[j].secondary_load;
-  }
-  ReplicaSetConfig rs_cfg = config_.replica_template;
-  rs_cfg.name = "partition-" + std::to_string(id);
-  partitions_.push_back(
-      std::make_unique<ReplicaSet>(rs_cfg, std::move(members), network_));
-  population_.push_back(0);
-  retired_.push_back(0);
-  draining_.push_back(0);
-  parent_.push_back(static_cast<int>(parent));
-  ++ses_[pick].commissioned;
-  return id;
-}
-
-Status PartitionMap::BeginMerge(uint32_t partition) {
-  if (partition >= partitions_.size()) {
-    return Status::InvalidArgument("merge of unknown partition " +
-                                   std::to_string(partition));
-  }
-  if (retired_[partition] != 0 || draining_[partition] != 0) {
-    return Status::FailedPrecondition("partition " + std::to_string(partition) +
-                                      " already merging or retired");
-  }
-  if (ring_.node_count() <= 1) {
-    return Status::FailedPrecondition("cannot merge the last ring partition");
-  }
-  ring_.RemoveNode(partition);
-  draining_[partition] = 1;
-  return Status::Ok();
-}
-
-Status PartitionMap::RetirePartition(uint32_t partition) {
-  if (partition >= partitions_.size() || draining_[partition] == 0) {
-    return Status::FailedPrecondition("partition " + std::to_string(partition) +
-                                      " is not draining");
-  }
-  if (population_[partition] != 0) {
-    return Status::FailedPrecondition(
-        "partition " + std::to_string(partition) + " still holds " +
-        std::to_string(population_[partition]) + " subscribers");
-  }
-  ReplicaSet* rs = partitions_[partition].get();
-  for (uint32_t r = 0; r < rs->replica_count(); ++r) {
-    int idx = IndexOfSe(rs->replica_se(r));
-    if (idx < 0) continue;
-    if (r == rs->master_id()) {
-      if (ses_[idx].commissioned > 0) --ses_[idx].commissioned;
-    } else if (ses_[idx].secondary_load > 0) {
-      --ses_[idx].secondary_load;
-    }
-  }
-  draining_[partition] = 0;
-  retired_[partition] = 1;
-  return Status::Ok();
-}
-
-size_t PartitionMap::live_partition_count() const {
-  size_t live = 0;
-  for (size_t p = 0; p < partitions_.size(); ++p) {
-    if (retired_[p] == 0 && draining_[p] == 0) ++live;
-  }
-  return live;
-}
-
 std::vector<int> PartitionMap::PrimariesPerSe() const {
   std::vector<int> counts(ses_.size(), 0);
   for (size_t p = 0; p < partitions_.size(); ++p) {
-    if (retired_[p] != 0) continue;
     const ReplicaSet* rs = partitions_[p].get();
     int idx = IndexOfSe(rs->replica_se(rs->master_id()));
     if (idx >= 0) ++counts[idx];
@@ -241,7 +120,6 @@ int PartitionMap::PrimarySpread() const {
 std::vector<int64_t> PartitionMap::PopulationPerSe() const {
   std::vector<int64_t> pops(ses_.size(), 0);
   for (size_t p = 0; p < partitions_.size(); ++p) {
-    if (retired_[p] != 0) continue;
     const ReplicaSet* rs = partitions_[p].get();
     int idx = IndexOfSe(rs->replica_se(rs->master_id()));
     if (idx >= 0) pops[idx] += population_[p];
@@ -369,11 +247,8 @@ std::vector<PlannedPrimaryMove> PartitionMap::PlanRebalance() const {
   std::vector<PlannedPrimaryMove> plan;
   if (partitions_.empty() || ses_.empty()) return plan;
   // Simulated assignment the greedy passes mutate instead of live state.
-  // Retired partitions hold nothing and draining ones are already being
-  // emptied by the merge machinery — neither is a planning unit.
   std::vector<int> owner(partitions_.size(), -1);
   for (size_t p = 0; p < partitions_.size(); ++p) {
-    if (retired_[p] != 0 || draining_[p] != 0) continue;
     const ReplicaSet* rs = partitions_[p].get();
     owner[p] = IndexOfSe(rs->replica_se(rs->master_id()));
   }

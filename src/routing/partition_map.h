@@ -120,42 +120,6 @@ class PartitionMap {
   /// least-loaded secondaries. Idempotent; called lazily by the data path.
   void Commission();
 
-  // -- Runtime split / merge ---------------------------------------------------
-  //
-  // A hot partition splits at runtime: a sibling replica set is commissioned
-  // and the ring gains the sibling's points at the midpoint of every
-  // parent-owned arc (HashRing::SplitNode), so ~half of the parent's key
-  // space — and no other partition's — re-homes to the sibling. The actual
-  // subscriber movement is a MigrationPlanner plan executed by the throttled
-  // scheduler. A cold sibling merges back in two phases: BeginMerge removes
-  // its ring points (keys re-home to the arc successors, i.e. the parent),
-  // the scheduler drains its records, and RetirePartition finishes the
-  // bookkeeping once the population hits zero. Replica-set slots are never
-  // erased — partition ids stay dense and stable — a retired partition is
-  // just excluded from planning, spread accounting and the ring.
-
-  /// Commissions a split sibling for `parent`: a new replica set whose
-  /// primary lands on the least-primary-loaded SE other than the parent's
-  /// (the SE the split is relieving), taking the lower half of every parent
-  /// ring arc. Returns the sibling's partition id.
-  StatusOr<uint32_t> CommissionSplitSibling(uint32_t parent);
-
-  /// Phase 1 of a merge: removes `partition`'s ring points so no new keys
-  /// resolve to it. The partition keeps serving its remaining records (the
-  /// migration machinery's bypass exceptions route them) until drained.
-  Status BeginMerge(uint32_t partition);
-
-  /// Phase 2 of a merge: marks a drained (population 0) partition retired
-  /// and releases its placement bookkeeping.
-  Status RetirePartition(uint32_t partition);
-
-  bool partition_retired(uint32_t id) const { return retired_[id] != 0; }
-  bool partition_draining(uint32_t id) const { return draining_[id] != 0; }
-  /// Parent partition this one was split from; -1 for commissioned ones.
-  int parent_of(uint32_t id) const { return parent_[id]; }
-  /// Partitions that are neither retired nor draining.
-  size_t live_partition_count() const;
-
   // -- Partition access --------------------------------------------------------
 
   size_t partition_count() const { return partitions_.size(); }
@@ -238,9 +202,6 @@ class PartitionMap {
   std::unordered_map<const storage::StorageElement*, int> se_index_;
   std::vector<std::unique_ptr<replication::ReplicaSet>> partitions_;
   std::vector<int64_t> population_;
-  std::vector<uint8_t> retired_;   ///< 1:1 with partitions_.
-  std::vector<uint8_t> draining_;  ///< Merge phase 1 done, not yet retired.
-  std::vector<int> parent_;        ///< Split parent; -1 when commissioned.
   HashRing ring_;
 };
 

@@ -18,8 +18,6 @@ Router::Router(PartitionMap* map, sim::Network* network, Metrics* metrics)
       metrics_(metrics),
       routed_(metrics->RegisterCounter("router.routed")),
       bypass_hits_(metrics->RegisterCounter("router.bypass.hits")),
-      cache_hits_(metrics->RegisterCounter("router.cache.hits")),
-      cache_misses_(metrics->RegisterCounter("router.cache.misses")),
       batch_count_(metrics->RegisterCounter("router.batch.count")),
       batch_ops_(metrics->RegisterCounter("router.batch.ops")),
       batch_size_(metrics->RegisterHist("router.batch.size")),
@@ -34,81 +32,7 @@ void Router::RegisterPoa(uint32_t cluster_id, sim::SiteId site,
   poa.cluster_id = cluster_id;
   poa.site = site;
   poa.stage = stage;
-  if (heat_.poa_cache_bytes > 0) {
-    poa.cache = std::make_unique<PoaCache>(
-        PoaCacheConfig{heat_.poa_cache_bytes, heat_.cache_hit_cost});
-  }
-  poas_.push_back(std::move(poa));
-}
-
-void Router::ConfigureHeat(const HeatConfig& config) {
-  heat_ = config;
-  // A cache without the sketch has no admission signal; the tracker is the
-  // prerequisite tier, so a cache budget implies tracking.
-  if (heat_.poa_cache_bytes > 0) heat_.track = true;
-  heat_tracker_ =
-      heat_.track ? std::make_unique<HeatTracker>(heat_.tracker) : nullptr;
-  for (Poa& poa : poas_) {
-    poa.cache = heat_.poa_cache_bytes > 0
-                    ? std::make_unique<PoaCache>(PoaCacheConfig{
-                          heat_.poa_cache_bytes, heat_.cache_hit_cost})
-                    : nullptr;
-  }
-}
-
-PoaCache* Router::poa_cache_at(sim::SiteId site) {
-  for (Poa& poa : poas_) {
-    if (poa.site == site) return poa.cache.get();
-  }
-  return nullptr;
-}
-
-void Router::InvalidateCached(storage::RecordKey key) {
-  for (Poa& poa : poas_) {
-    if (poa.cache != nullptr && poa.cache->Invalidate(key)) {
-      metrics_->Add("router.cache.invalidations");
-    }
-  }
-}
-
-void Router::BumpPartitionEpoch(uint32_t partition) {
-  if (partition_epochs_.size() <= partition) {
-    partition_epochs_.resize(partition + 1, 0);
-  }
-  ++partition_epochs_[partition];
-  if (flight_ != nullptr) {
-    flight_->Record(network_->Now(), "router", "epoch.bump",
-                    "partition=" + std::to_string(partition) + " epoch=" +
-                        std::to_string(partition_epochs_[partition]));
-  }
-}
-
-const storage::Record* Router::CacheLookup(storage::RecordKey key,
-                                           uint32_t partition,
-                                           sim::SiteId poa_site) {
-  PoaCache* cache = poa_cache_at(poa_site);
-  if (cache == nullptr) return nullptr;
-  const storage::Record* rec =
-      cache->Lookup(key, partition, partition_epoch(partition));
-  (rec != nullptr ? cache_hits_ : cache_misses_).Add();
-  return rec;
-}
-
-void Router::CachePopulate(storage::RecordKey key, uint32_t partition,
-                           sim::SiteId poa_site, const storage::Record& record,
-                           bool stale) {
-  // Policy: only non-stale reads may seed the cache — an entry must equal
-  // the newest committed master state, or a hit would widen the staleness
-  // window beyond what the replica set itself serves.
-  if (stale) return;
-  PoaCache* cache = poa_cache_at(poa_site);
-  if (cache == nullptr) return;
-  if (heat_tracker_ != nullptr &&
-      heat_tracker_->KeyCount(key) < heat_.cache_admit_min_count) {
-    return;
-  }
-  cache->Insert(key, partition, partition_epoch(partition), record);
-  metrics_->Add("router.cache.insertions");
+  poas_.push_back(poa);
 }
 
 StatusOr<uint32_t> Router::FindPoaCluster(sim::SiteId client_site) const {
@@ -203,9 +127,6 @@ RouteResult Router::ResolveOne(const Identity& id, sim::SiteId poa_site,
     out.partition = map_->PartitionOfIdentity(id);
     out.rs = map_->partition(out.partition);
     out.bypassed_location = true;
-    if (heat_tracker_ != nullptr) {
-      heat_tracker_->RecordAccess(out.partition, out.key, network_->Now());
-    }
     bypass_hits_.Add();
     routed_.Add();
     return out;
@@ -230,9 +151,6 @@ RouteResult Router::ResolveOne(const Identity& id, sim::SiteId poa_site,
   out.key = loc.entry.key;
   out.partition = loc.entry.partition;
   out.rs = map_->partition(loc.entry.partition);
-  if (heat_tracker_ != nullptr) {
-    heat_tracker_->RecordAccess(out.partition, out.key, network_->Now());
-  }
   routed_.Add();
   return out;
 }
@@ -248,14 +166,11 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
                                     const obs::TraceContext& span_parent,
                                     MicroTime dispatch_start) {
   replication::ReplicaSet* rs = map_->partition(partition);
-  PoaCache* cache = poa_cache_at(poa_site);
   // The whole group ships to its replica set as one message: runs within it
   // execute in order, but their transits overlap in a single round-trip
   // window, so the group pays max(run transit) + the serialized service time.
-  // Cache hits never enter the window at all — they cost PoA-local time.
   MicroDuration service_total = 0;
   MicroDuration window_transit = 0;
-  MicroDuration cache_cost = 0;
   // Span attribution cursor in modelled time: each flushed run occupies
   // [cursor, cursor + run latency] and advances the cursor by its serialized
   // service share (the overlapping transits stay inside the run span).
@@ -286,9 +201,6 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
       o.seq = gw.per_op[j].seq;
       o.served_by = gw.per_op[j].served_by;
       if (!o.status.ok()) ++result->failed_ops;
-      // Synchronous invalidation: a committed write must never leave a
-      // cached copy behind, at this PoA or any other.
-      if (o.status.ok()) InvalidateCached(o.key);
     }
     write_txns.clear();
     run_idx.clear();
@@ -304,8 +216,7 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
     }
     span_cursor += gr.latency - gr.transit;
     for (size_t j = 0; j < gr.per_op.size(); ++j) {
-      const size_t idx = run_idx[j];
-      OpOutcome& o = result->outcomes[idx];
+      OpOutcome& o = result->outcomes[run_idx[j]];
       o.status = std::move(gr.per_op[j].status);
       o.latency = gr.per_op[j].latency;
       o.stale = gr.per_op[j].stale;
@@ -313,13 +224,6 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
       o.value = std::move(gr.per_op[j].value);
       o.record = std::move(gr.records[j]);
       if (!o.status.ok()) ++result->failed_ops;
-      // Read-through population: a fresh whole-record read of a hot key
-      // seeds this PoA's cache (admission filtered by the heat sketch).
-      if (cache != nullptr && o.ok() && !o.stale && o.record.has_value() &&
-          batch.ops[idx].kind == Operation::Kind::kReadRecord &&
-          batch.ops[idx].read_pref == replication::ReadPreference::kNearest) {
-        CachePopulate(o.key, o.partition, poa_site, *o.record, o.stale);
-      }
     }
     read_ops.clear();
     run_idx.clear();
@@ -354,67 +258,19 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
       write_txns.push_back(std::move(wb).Build());
       run_idx.push_back(i);
     } else {
-      // Flushing pending writes FIRST both preserves per-key order and makes
-      // the cache check below read-your-writes safe: any earlier write of
-      // this batch has already committed and invalidated its key.
       flush_writes();
-      if (TryServeFromCache(op, cache, &o)) {
-        cache_cost += cache->hit_cost();
-        ++result->cache_hits;
-        if (!o.ok()) ++result->failed_ops;
-        continue;
-      }
       replication::BatchReadOp ro;
       ro.key = o.key;
       if (op.kind == Operation::Kind::kReadAttribute) ro.attr = op.attr;
       ro.pref = op.read_pref;
-      // A read that may seed this PoA's cache copies the whole record.
-      const bool may_populate =
-          cache != nullptr &&
-          op.read_pref == replication::ReadPreference::kNearest;
-      if (!op.projection.empty() && !may_populate) {
-        ro.projection = &op.projection;
-      }
+      if (!op.projection.empty()) ro.projection = &op.projection;
       read_ops.push_back(std::move(ro));
       run_idx.push_back(i);
     }
   }
   flush_writes();
   flush_reads();
-  return window_transit + service_total + cache_cost;
-}
-
-bool Router::TryServeFromCache(const Operation& op, PoaCache* cache,
-                               OpOutcome* out) {
-  if (cache == nullptr || op.kind == Operation::Kind::kWrite) return false;
-  // Policy boundary: only kNearest reads are cache-eligible. Master-only
-  // reads (provisioning, delete preconditions) always see the primary.
-  if (op.read_pref != replication::ReadPreference::kNearest) return false;
-  const storage::Record* rec = cache->Lookup(
-      out->key, out->partition, partition_epoch(out->partition));
-  if (rec == nullptr) {
-    cache_misses_.Add();
-    return false;
-  }
-  out->from_cache = true;
-  out->stale = false;
-  out->latency = cache->hit_cost();
-  if (op.kind == Operation::Kind::kReadAttribute) {
-    // Mirrors ReplicaSet::ReadAttrOn exactly: the cached record equals the
-    // master copy, so attribute presence/absence answers match too.
-    const storage::Attribute* a = rec->Find(op.attr);
-    if (a == nullptr) {
-      out->status = Status::NotFound("attribute " + op.attr);
-    } else {
-      out->status = Status::Ok();
-      out->value = a->value;
-    }
-  } else {
-    out->status = Status::Ok();
-    out->record = *rec;
-  }
-  cache_hits_.Add();
-  return true;
+  return window_transit + service_total;
 }
 
 BatchResult Router::RouteBatch(const BatchRequest& batch,

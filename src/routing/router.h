@@ -21,7 +21,6 @@
 #ifndef UDR_ROUTING_ROUTER_H_
 #define UDR_ROUTING_ROUTER_H_
 
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -32,9 +31,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "routing/batch.h"
-#include "routing/heat_tracker.h"
 #include "routing/partition_map.h"
-#include "routing/poa_cache.h"
 #include "sim/network.h"
 
 namespace udr::routing {
@@ -67,24 +64,6 @@ struct HashBypassConfig {
   location::IdentityType identity_type = location::IdentityType::kImsi;
   /// O(1) ring-lookup cost, mirroring LocationCostModel::hash_lookup.
   MicroDuration lookup_cost = Micros(2);
-};
-
-/// Heat-aware data path: the router samples every resolved op into a
-/// HeatTracker (per-partition EWMA + space-saving top-K key sketch) and can
-/// serve the hottest records from per-PoA read-through caches. Everything is
-/// off by default — an unconfigured router routes byte-identically to a
-/// heat-unaware one.
-struct HeatConfig {
-  /// Enables access sampling (prerequisite for the cache and split/merge).
-  bool track = false;
-  HeatTrackerConfig tracker;
-  /// Byte budget of each PoA's read-through cache; 0 = no caching.
-  int64_t poa_cache_bytes = 0;
-  /// PoA-local cost charged per cache hit.
-  MicroDuration cache_hit_cost = Micros(2);
-  /// Sketch count a key needs before its record is admitted to a cache —
-  /// keeps one-hit wonders from churning the byte budget.
-  int64_t cache_admit_min_count = 4;
 };
 
 class Router {
@@ -186,53 +165,11 @@ class Router {
   /// Installs the flight recorder resolve failures are logged to.
   void set_flight_recorder(obs::FlightRecorder* flight) { flight_ = flight; }
 
-  // -- Heat tier ---------------------------------------------------------------
-
-  /// Installs (or reconfigures) heat tracking and the per-PoA caches. PoAs
-  /// registered later inherit the configuration.
-  void ConfigureHeat(const HeatConfig& config);
-  const HeatConfig& heat_config() const { return heat_; }
-
-  /// The access-heat tracker; nullptr until ConfigureHeat(track = true).
-  HeatTracker* heat_tracker() { return heat_tracker_.get(); }
-  const HeatTracker* heat_tracker() const { return heat_tracker_.get(); }
-
-  /// The read-through cache of the PoA at `site`; nullptr when uncached.
-  PoaCache* poa_cache_at(sim::SiteId site);
-
-  /// Synchronously drops `key` from every PoA cache. Called by the batched
-  /// write flush and by every direct-write site (create/delete/modify/
-  /// re-home), so a cached record never outlives a committed write.
-  void InvalidateCached(storage::RecordKey key);
-
-  /// Serves a solo-path kNearest read from the PoA cache when the record is
-  /// cached under the current (partition, epoch); nullptr otherwise. The
-  /// pointer stays valid until the next router call.
-  const storage::Record* CacheLookup(storage::RecordKey key,
-                                     uint32_t partition, sim::SiteId poa_site);
-
-  /// Offers a freshly read record for caching; admitted only if the key is
-  /// hot enough in the sketch (and `stale` is false — a cache entry must
-  /// equal newest committed master state).
-  void CachePopulate(storage::RecordKey key, uint32_t partition,
-                     sim::SiteId poa_site, const storage::Record& record,
-                     bool stale);
-
-  /// Partition epoch, bumped on migration cutover and split/merge; cache
-  /// entries are tagged with it so nothing is served across a re-home (the
-  /// bypass-exception shape, applied to cached state).
-  uint64_t partition_epoch(uint32_t partition) const {
-    return partition < partition_epochs_.size() ? partition_epochs_[partition]
-                                                : 0;
-  }
-  void BumpPartitionEpoch(uint32_t partition);
-
  private:
   struct Poa {
     uint32_t cluster_id = 0;
     sim::SiteId site = 0;
     location::LocationStage* stage = nullptr;
-    std::unique_ptr<PoaCache> cache;
     bool serving = true;  ///< In client rotation (false: site lost/drained).
   };
 
@@ -250,12 +187,6 @@ class Router {
                               const obs::TraceContext& span_parent,
                               MicroTime dispatch_start);
 
-  /// Serves one read op from `cache` when possible (same status/value
-  /// semantics as the replica-set read path). Returns false on miss.
-  /// `out` carries the op's resolved key and partition.
-  bool TryServeFromCache(const Operation& op, PoaCache* cache,
-                         OpOutcome* out);
-
   PartitionMap* map_;
   sim::Network* network_;
   Metrics* metrics_;
@@ -265,16 +196,11 @@ class Router {
   // Add/Observe API stays for cold call sites).
   Metrics::Counter routed_;
   Metrics::Counter bypass_hits_;
-  Metrics::Counter cache_hits_;
-  Metrics::Counter cache_misses_;
   Metrics::Counter batch_count_;
   Metrics::Counter batch_ops_;
   Metrics::HistHandle batch_size_;
   Metrics::HistHandle batch_groups_;
   HashBypassConfig bypass_;
-  HeatConfig heat_;
-  std::unique_ptr<HeatTracker> heat_tracker_;
-  std::vector<uint64_t> partition_epochs_;
   std::unordered_set<location::Identity, location::IdentityHasher>
       bypass_exceptions_;
   std::vector<Poa> poas_;

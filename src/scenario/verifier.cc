@@ -195,9 +195,7 @@ SloResult Verifier::Evaluate(const SloCheck& check) {
       // migration-free scenario means a failover promoted a secondary.
       int64_t moved = 0;
       for (uint32_t p = 0; p < map.partition_count(); ++p) {
-        if (!map.partition_retired(p) && map.partition(p)->master_id() != 0) {
-          ++moved;
-        }
+        if (map.partition(p)->master_id() != 0) ++moved;
       }
       row.actual = static_cast<double>(moved);
       row.pass = row.actual >= check.bound;

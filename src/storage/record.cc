@@ -19,9 +19,6 @@ constexpr int64_t kMapRecordOverhead = 64; // map object + version + index slot.
 // Packed record: vector object + version + hash-index slot share. Entry
 // storage is charged per entry below.
 constexpr int64_t kPackedRecordOverhead = 48;
-// PoA read-through cache bookkeeping per cached record: doubly-linked LRU
-// node + unordered_map index slot + (partition, epoch) tag, alloc headers in.
-constexpr int64_t kCacheEntryOverhead = 96;
 
 int64_t StringHeapBytes(const std::string& s) {
   return static_cast<int64_t>(s.size()) <= kStringSso
@@ -213,12 +210,6 @@ int64_t Record::ApproxBytes() const {
   }
   for (const PackedAttr& e : attrs_) total += ValueHeapBytes(e.attr.value);
   return total;
-}
-
-int64_t Record::CacheFootprintBytes() const {
-  // The cached copy pays the record's own packed footprint plus the cache's
-  // per-entry bookkeeping (LRU list node + hash index slot + epoch tag).
-  return ApproxBytes() + kCacheEntryOverhead;
 }
 
 int64_t Record::MapLayoutBytes() const {

@@ -145,12 +145,6 @@ class Record {
   /// not to individual records.
   int64_t ApproxBytes() const;
 
-  /// Bytes the PoA read-through cache charges for holding a copy of this
-  /// record: the packed payload plus the cache's per-entry bookkeeping (LRU
-  /// node, index slot, epoch tag). The cache's byte budget is denominated in
-  /// this, so capacity maps to real RAM and not just payload bytes.
-  int64_t CacheFootprintBytes() const;
-
   /// What the legacy std::map<std::string, Attribute> layout would cost for
   /// this record's content: per-attribute red-black-tree node + allocation
   /// header + name string object (+ its heap spill) on top of the same

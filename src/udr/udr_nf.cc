@@ -74,17 +74,6 @@ UdrNf::UdrNf(UdrConfig config, sim::Network* network)
     bypass.lookup_cost = config_.location_model.hash_lookup;
     router_.SetHashBypass(bypass);
   }
-  if (config_.heat_tracking || config_.poa_cache_bytes > 0 ||
-      config_.heat_split_threshold > 0) {
-    routing::HeatConfig heat;
-    heat.track = true;
-    heat.tracker.halflife_us = config_.heat_halflife_us;
-    heat.tracker.top_k = config_.heat_top_k;
-    heat.poa_cache_bytes = config_.poa_cache_bytes;
-    heat.cache_hit_cost = config_.poa_cache_hit_cost;
-    heat.cache_admit_min_count = config_.poa_cache_admit_min;
-    router_.ConfigureHeat(heat);
-  }
   if (config_.trace_sample_rate > 0) {
     obs::Tracer::Options topt;
     topt.sample_rate = config_.trace_sample_rate;
@@ -115,7 +104,6 @@ UdrNf::UdrNf(UdrConfig config, sim::Network* network)
     // arrival/throughput rates for window sizing, queueing/batch quantiles
     // for the latency budget.
     sampler_->TrackCounter("router.routed");
-    sampler_->TrackCounter("router.cache.hits");
     sampler_->TrackCounter("udr.batch.ops");
     sampler_->TrackCounter("coalescer.events");
     sampler_->TrackQuantile("router.batch.size", 50);
@@ -293,131 +281,6 @@ void UdrNf::SetClusterServing(uint32_t cluster_id, bool serving) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Heat tier: runtime partition split / merge
-// ---------------------------------------------------------------------------
-
-StatusOr<uint32_t> UdrNf::StartSplit(uint32_t parent) {
-  if (config_.placement != routing::PlacementKind::kHash) {
-    // Splitting moves subscribers by ring arc; without hash placement
-    // {partition, key} is not a function of the ring and nothing would move.
-    return Status::FailedPrecondition(
-        "runtime partition split requires hash placement");
-  }
-  UDR_ASSIGN_OR_RETURN(uint32_t sibling, map_.CommissionSplitSibling(parent));
-  // The ring now names the sibling for half of the parent's arcs: every
-  // PoA-cached record tagged with the parent's old resolution is suspect.
-  router_.BumpPartitionEpoch(parent);
-  heat_siblings_.push_back(HeatSibling{parent, sibling, Now()});
-  ++runtime_splits_;
-  metrics_.Add("udr.heat.splits");
-  if (flight_ != nullptr) {
-    flight_->Record(Now(), "heat", "split",
-                    "parent=" + std::to_string(parent) +
-                        " sibling=" + std::to_string(sibling));
-  }
-
-  migration::MigrationPlan plan = migration::MigrationPlanner::PlanSplit(
-      router_, map_, config_.hash_identity_type, parent, sibling);
-  if (!plan.empty()) {
-    migration_->EnqueuePlan(plan);
-    if (config_.migration_bandwidth_bps <= 0) migration_->DrainAll();
-  }
-  return sibling;
-}
-
-Status UdrNf::StartMerge(uint32_t sibling) {
-  if (config_.placement != routing::PlacementKind::kHash) {
-    return Status::FailedPrecondition(
-        "runtime partition merge requires hash placement");
-  }
-  const int parent = map_.parent_of(sibling);
-  UDR_RETURN_IF_ERROR(map_.BeginMerge(sibling));
-  // Reads and writes route to the arc successors from this point on; cached
-  // copies tagged with either side of the merge are suspect.
-  router_.BumpPartitionEpoch(sibling);
-  if (parent >= 0) router_.BumpPartitionEpoch(static_cast<uint32_t>(parent));
-  metrics_.Add("udr.heat.merge_begun");
-  if (flight_ != nullptr) {
-    flight_->Record(Now(), "heat", "merge.begin",
-                    "sibling=" + std::to_string(sibling) +
-                        " parent=" + std::to_string(parent));
-  }
-
-  migration::MigrationPlan plan = migration::MigrationPlanner::PlanMerge(
-      router_, map_, config_.hash_identity_type, sibling);
-  if (!plan.empty()) {
-    migration_->EnqueuePlan(plan);
-    if (config_.migration_bandwidth_bps <= 0) migration_->DrainAll();
-  }
-  // Unthrottled drains empty the sibling inline; PumpHeat retires it then
-  // (or later, once a throttled drain lands the last re-home).
-  return Status::Ok();
-}
-
-void UdrNf::PumpHeat() {
-  routing::HeatTracker* tracker = router_.heat_tracker();
-  if (tracker == nullptr) return;
-
-  // Phase out: a draining merge sibling retires once its population drained.
-  for (auto it = heat_siblings_.begin(); it != heat_siblings_.end();) {
-    if (map_.partition_draining(it->sibling) &&
-        map_.population(it->sibling) == 0 &&
-        map_.RetirePartition(it->sibling).ok()) {
-      ++runtime_merges_;
-      metrics_.Add("udr.heat.merges");
-      if (flight_ != nullptr) {
-        flight_->Record(Now(), "heat", "merge.retired",
-                        "sibling=" + std::to_string(it->sibling));
-      }
-      it = heat_siblings_.erase(it);
-      continue;
-    }
-    ++it;
-  }
-
-  const MicroTime now = Now();
-
-  // Split: hottest live partition at or past the threshold.
-  if (config_.heat_split_threshold > 0 &&
-      runtime_splits_ < config_.heat_max_splits &&
-      config_.placement == routing::PlacementKind::kHash) {
-    int hottest = -1;
-    double best = 0;
-    for (uint32_t p = 0; p < map_.partition_count(); ++p) {
-      if (map_.partition_retired(p) || map_.partition_draining(p)) continue;
-      const double heat = tracker->PartitionHeat(p, now);
-      if (heat >= config_.heat_split_threshold && heat > best) {
-        best = heat;
-        hottest = static_cast<int>(p);
-      }
-    }
-    if (hottest >= 0) (void)StartSplit(static_cast<uint32_t>(hottest));
-  }
-
-  // Merge: cooled siblings past their cooldown, one batch per pump. The
-  // migration queue must be idle so a sibling still receiving its split
-  // half-slice is never judged cold on arrival.
-  if (config_.heat_merge_threshold > 0 && !migration_->HasWork()) {
-    const MicroDuration cooldown = config_.heat_split_cooldown_us > 0
-                                       ? config_.heat_split_cooldown_us
-                                       : 4 * config_.heat_halflife_us;
-    std::vector<uint32_t> cold;
-    for (const HeatSibling& sib : heat_siblings_) {
-      if (map_.partition_draining(sib.sibling) ||
-          map_.partition_retired(sib.sibling)) {
-        continue;  // Already merging.
-      }
-      if (now - sib.split_at < cooldown) continue;
-      if (tracker->PartitionHeat(sib.sibling, now) <
-          config_.heat_merge_threshold) {
-        cold.push_back(sib.sibling);
-      }
-    }
-    for (uint32_t sibling : cold) (void)StartMerge(sibling);
-  }
-}
-
 BladeCluster* UdrNf::ClusterAtSite(sim::SiteId site) {
   for (auto& c : clusters_) {
     if (c->site() == site) return c.get();
@@ -544,8 +407,9 @@ StatusOr<int64_t> UdrNf::RehomeOne(const migration::MigrationTaskSpec& spec) {
     metrics_.Add("hash.rehome.failed");
     return record.ok() ? write.status : record.status();
   }
-  // Partitions overlay a shared SE fleet (a runtime split sibling lands on
-  // existing SEs), and each SE keeps ONE physical row per record key. A
+  // Partitions overlay a shared SE fleet (partitions_per_se > 1 puts several
+  // partitions' copies on one SE), and each SE keeps ONE physical row per
+  // record key. A
   // replicated delete through the old partition would therefore race the new
   // partition's put on every SE hosting copies of BOTH sides, erasing the
   // row the move just landed once the delete stream applies. Remove the old
@@ -563,9 +427,6 @@ StatusOr<int64_t> UdrNf::RehomeOne(const migration::MigrationTaskSpec& spec) {
     }
     if (!shared) se->store().DeleteRecord(from_entry.key);
   }
-  // The record changed homes: any PoA-cached copy carries the old partition
-  // tag and must not serve another read.
-  router_.InvalidateCached(from_entry.key);
 
   LocationEntry entry;
   entry.key = from_entry.key;
@@ -638,9 +499,6 @@ StatusOr<UdrNf::CreateOutcome> UdrNf::CreateSubscriber(const CreateSpec& spec,
     return write.status;
   }
 
-  // Defensive vs delete-recreate: a cached copy of a previous tenant of this
-  // key must not outlive its re-creation.
-  router_.InvalidateCached(key);
 
   LocationEntry entry;
   entry.key = key;
@@ -669,7 +527,6 @@ Status UdrNf::DeleteSubscriber(const Identity& id, sim::SiteId origin_site) {
   wb.Delete(entry.key);
   replication::WriteResult write = rs->Write(origin_site, std::move(wb).Build());
   if (!write.status.ok()) return write.status;
-  router_.InvalidateCached(entry.key);
 
   // Unbind drops every identity's bypass exception too, so a subscriber that
   // landed on the exception list during a failed re-home does not leak an
@@ -1316,10 +1173,8 @@ void UdrNf::PumpEvents() {
     if (coalescers_[c]->FlushIfDue()) DrainCoalescer(c);
   }
   // One sim loop drives all the background primitives: the PoA dispatch
-  // windows, the migration scheduler, the heat-tier control loop, and the
-  // time-series sampler's tick.
+  // windows, the migration scheduler and the time-series sampler's tick.
   migration_->Pump();
-  PumpHeat();
   if (sampler_ != nullptr) sampler_->MaybeSample();
 }
 

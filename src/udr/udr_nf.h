@@ -113,39 +113,6 @@ struct UdrConfig {
   /// migration budget from the window, so foreground load shrinks
   /// background throughput (0 = no displacement).
   int64_t migration_foreground_cost_bytes = 0;
-  /// Heat tier: sample every routed access into the router's per-partition
-  /// EWMA rates and top-K hot-key sketch. Enabled implicitly by any heat
-  /// consumer below (PoA cache, split threshold).
-  bool heat_tracking = false;
-  /// EWMA half-life of the partition heat signal: a partition's heat halves
-  /// after this much idle sim time.
-  MicroDuration heat_halflife_us = Millis(500);
-  /// Size of the space-saving hot-key sketch.
-  int heat_top_k = 128;
-  /// PoA read-through cache budget, bytes per PoA (0 = no cache). Serves
-  /// kNearest reads PoA-locally; the write path invalidates synchronously,
-  /// so read-your-writes is never violated.
-  int64_t poa_cache_bytes = 0;
-  /// Modelled service time of a PoA cache hit (replaces the whole partition
-  /// round trip for that op).
-  MicroDuration poa_cache_hit_cost = Micros(2);
-  /// Admission filter: a key enters the cache only once the sketch has seen
-  /// it at least this often, keeping one-shot scans from thrashing hot keys.
-  int64_t poa_cache_admit_min = 4;
-  /// Runtime split trigger: a live partition whose heat reaches this splits
-  /// into itself + a sibling claiming half of each of its ring arcs
-  /// (0 = never split). Requires hash placement.
-  double heat_split_threshold = 0.0;
-  /// Runtime merge trigger: a split sibling whose heat falls below this —
-  /// after the cooldown — drains back to its ring successors and retires
-  /// (0 = never merge).
-  double heat_merge_threshold = 0.0;
-  /// Cap on runtime splits per NF lifetime (bounds partition growth).
-  int heat_max_splits = 4;
-  /// Minimum sibling age before it is merge-eligible: a fresh sibling starts
-  /// at heat zero and needs time to prove itself cold. 0 picks 4x the
-  /// half-life.
-  MicroDuration heat_split_cooldown_us = 0;
   // -- Observability (src/obs) -------------------------------------------------
   /// Fraction of signaling events traced end to end, in [0, 1]. The decision
   /// is a pure function of (trace_seed, trace id), so the same seed traces
@@ -245,42 +212,6 @@ class UdrNf {
   /// The background scheduler (introspection for tests and benches).
   migration::MigrationScheduler& migration_scheduler() { return *migration_; }
 
-  // -- Heat tier (hot-key tracking, PoA cache, runtime split/merge) --------------
-
-  /// One runtime split still alive: `sibling` was carved out of `parent`.
-  struct HeatSibling {
-    uint32_t parent = 0;
-    uint32_t sibling = 0;
-    MicroTime split_at = 0;  ///< When the split fired (cooldown anchor).
-  };
-
-  /// Splits `parent` at runtime: commissions a sibling partition claiming
-  /// the midpoint half of each of the parent's ring arcs, bumps the parent's
-  /// cache epoch, and enqueues the half-slice re-home plan through the
-  /// throttled migration scheduler (drained inline when unthrottled). Only
-  /// the parent's subscribers move; no acknowledged write is lost. Requires
-  /// hash placement. Returns the sibling's partition id.
-  StatusOr<uint32_t> StartSplit(uint32_t parent);
-
-  /// Merges a runtime split sibling back: takes its points off the ring
-  /// (reads/writes immediately route to the arc successors), bumps cache
-  /// epochs, and drains its population to the new ring owners through the
-  /// scheduler. The emptied sibling retires in PumpHeat (immediately when
-  /// the drain ran inline).
-  Status StartMerge(uint32_t sibling);
-
-  /// Heat-tier control loop, called from PumpEvents: retires drained merge
-  /// siblings, splits the hottest partition past the configured threshold,
-  /// and merges cooled siblings past their cooldown.
-  void PumpHeat();
-
-  int runtime_splits() const { return runtime_splits_; }
-  int runtime_merges() const { return runtime_merges_; }
-  /// Runtime splits not yet merged away (introspection for tests/benches).
-  const std::vector<HeatSibling>& heat_siblings() const {
-    return heat_siblings_;
-  }
-
   size_t cluster_count() const { return clusters_.size(); }
   BladeCluster* cluster(uint32_t id) { return clusters_[id].get(); }
   /// Cluster whose PoA serves `site`, nullptr when none is deployed there.
@@ -325,7 +256,7 @@ class UdrNf {
 
   /// The one pump: flushes every PoA window whose deadline has passed
   /// (completing its events), takes the migration steps the bandwidth budget
-  /// affords, runs the heat tier and takes a due sampler tick.
+  /// affords and takes a due sampler tick.
   void PumpEvents();
 
   /// Closes all open windows now (end-of-run barrier).
@@ -623,11 +554,6 @@ class UdrNf {
   uint64_t next_event_handle_ = 1;
   storage::RecordKey next_key_ = 1;
   int64_t subscriber_count_ = 0;
-  /// Live runtime splits, oldest first; StartMerge keeps the entry until the
-  /// drained sibling actually retires.
-  std::vector<HeatSibling> heat_siblings_;
-  int runtime_splits_ = 0;
-  int runtime_merges_ = 0;
 };
 
 }  // namespace udr::udrnf

@@ -30,9 +30,8 @@ struct TrafficOptions {
   uint64_t subscriber_count = 1000; ///< Population to draw subscribers from.
   /// Skew of the subscriber draw: 0 = uniform (the historical stream,
   /// byte-identical to before the knob existed); 0 < theta < 1 draws from a
-  /// Zipf(theta) distribution over the population, rank 0 hottest — the
-  /// YCSB-style skewed workload the heat tier is judged against.
-  /// Deterministic given `seed`.
+  /// Zipf(theta) distribution over the population, rank 0 hottest (the
+  /// YCSB-style skewed workload). Deterministic given `seed`.
   double zipf_theta = 0.0;
   uint64_t seed = 7;
   sim::SiteId ps_site = 0;          ///< PS is co-located with this PoA.

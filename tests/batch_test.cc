@@ -14,7 +14,6 @@
 #include "ldap/dn.h"
 #include "ldap/filter.h"
 #include "routing/batch.h"
-#include "routing/poa_cache.h"
 #include "routing/router.h"
 #include "telecom/front_end.h"
 #include "telecom/subscriber.h"
@@ -901,23 +900,16 @@ void ExpectSameSearch(const ldap::LdapResult& got, const ldap::LdapResult& want,
 }
 
 /// Runs a seeded mix of Searches through UdrNf::Process and checks each
-/// against the whole-record reference. With a PoA cache configured, reads
-/// that may seed it copy whole records, and cache hits are checked against
-/// the master copy at the hit cost.
-void RunProjectionDifferential(bool poa_cache) {
+/// against the whole-record reference.
+TEST(ProjectionTest, ProjectedSearchesEqualWholeRecordReads) {
   workload::TestbedOptions o = BaseOptions(30);
   o.pin_home_sites = true;
-  if (poa_cache) {
-    o.udr.poa_cache_bytes = 1 << 20;
-    o.udr.poa_cache_admit_min = 1;
-  }
   workload::Testbed bed(o);
   Settle(bed);
   udrnf::UdrNf& udr = bed.udr();
   const telecom::SubscriberFactory& factory = bed.factory();
-  Rng rng(poa_cache ? 7 : 5);
+  Rng rng(5);
   int stale_seen = 0;
-  int hits_seen = 0;
   for (int step = 0; step < 240; ++step) {
     const uint64_t index = rng.Uniform(30);
     const telecom::Subscriber sub = factory.Make(index);
@@ -981,52 +973,14 @@ void RunProjectionDifferential(bool poa_cache) {
         break;
       }
     }
-    PoaCache* cache = udr.router().poa_cache_at(site);
-    const int64_t hits_before = cache != nullptr ? cache->hits() : 0;
-    ldap::LdapResult want = WholeRecordReference(udr, req, id, site);
+    const ldap::LdapResult want = WholeRecordReference(udr, req, id, site);
     const ldap::LdapResult got = udr.Process(req, site);
-    if (cache != nullptr && cache->hits() > hits_before) {
-      // A hit serves the cached master copy at the PoA-local hit cost.
-      ++hits_seen;
-      auto loc = udr.AuthoritativeLookup(id);
-      ASSERT_TRUE(loc.ok());
-      replication::ReplicaSet* rs = udr.partition(loc->partition);
-      replication::ReadResult meta;
-      auto master = rs->ReadRecord(home, loc->key,
-                                   ReadPreference::kMasterOnly, &meta);
-      ASSERT_TRUE(master.ok());
-      want.latency = udr.router().ResolveAt(id, site).cost + cache->hit_cost();
-      want.stale = false;
-      for (ldap::SearchEntry& e : want.entries) {
-        if (req.requested_attrs.empty()) {
-          e.record = *master;
-          continue;
-        }
-        storage::Record picked;
-        for (const std::string& name : req.requested_attrs) {
-          const storage::Attribute* a = master->Find(name);
-          if (a != nullptr) picked.Set(name, a->value, a->modified_at, a->writer);
-        }
-        e.record = picked;
-      }
-    }
     if (got.stale) ++stale_seen;
     ExpectSameSearch(got, want, label + " (step " + std::to_string(step) + ")");
     if (::testing::Test::HasFatalFailure()) return;
     bed.clock().Advance(Millis(3));
   }
   EXPECT_GT(stale_seen, 0);
-  if (poa_cache) {
-    EXPECT_GT(hits_seen, 0);
-  }
-}
-
-TEST(ProjectionTest, ProjectedSearchesEqualWholeRecordReads) {
-  RunProjectionDifferential(/*poa_cache=*/false);
-}
-
-TEST(ProjectionTest, ProjectedSearchesEqualWholeRecordReadsWithPoaCache) {
-  RunProjectionDifferential(/*poa_cache=*/true);
 }
 
 }  // namespace

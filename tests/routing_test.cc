@@ -78,20 +78,6 @@ TEST(HashRingTest, BulkAddMatchesIncrementalAdd) {
   }
 }
 
-TEST(HashRingTest, RemoveNodeRestoresPriorOwnership) {
-  HashRing ring(64);
-  for (uint32_t n = 0; n < 6; ++n) ring.AddNode(n);
-  std::vector<uint32_t> before;
-  for (uint64_t k = 0; k < 500; ++k) {
-    before.push_back(ring.NodeOfHash(k * 0x9E3779B97F4A7C15ULL));
-  }
-  ring.AddNode(6);
-  ring.RemoveNode(6);
-  for (uint64_t k = 0; k < 500; ++k) {
-    EXPECT_EQ(ring.NodeOfHash(k * 0x9E3779B97F4A7C15ULL), before[k]);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // PartitionMap on a deployed testbed
 // ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
-// Tests for src/workload: testbed construction and the traffic-mix runner,
-// including the paper's partition-availability asymmetry (FE vs PS).
+// Tests for src/workload: testbed construction, the traffic-mix runner
+// (including the paper's partition-availability asymmetry, FE vs PS) and the
+// Zipf key generator.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.h"
 #include "workload/testbed.h"
 #include "workload/traffic.h"
+#include "workload/zipf.h"
 
 namespace udr::workload {
 namespace {
@@ -176,6 +181,57 @@ TEST(TrafficTest, SamplerTicksDuringRun) {
   t.concurrent_events = 1;
   RunTraffic(bed, t);
   EXPECT_EQ(bed.udr().sampler()->samples_taken(), 20);
+}
+
+// ---------------------------------------------------------------------------
+// Zipf generator
+// ---------------------------------------------------------------------------
+
+TEST(ZipfGeneratorTest, ThetaZeroIsAnExactUniformPassthrough) {
+  // theta <= 0 must be byte-identical to rng.Uniform(n): every pre-existing
+  // uniform workload keeps its historical key stream.
+  workload::ZipfGenerator gen(1000, 0.0);
+  Rng a(9);
+  Rng b(9);
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(gen.Next(a), b.Uniform(1000)) << "draw " << i;
+  }
+}
+
+TEST(ZipfGeneratorTest, SameSeedReproducesTheKeySequence) {
+  workload::ZipfGenerator gen1(1000, 0.99);
+  workload::ZipfGenerator gen2(1000, 0.99);
+  Rng a(123);
+  Rng b(123);
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_EQ(gen1.Next(a), gen2.Next(b)) << "draw " << i;
+  }
+}
+
+TEST(ZipfGeneratorTest, SkewedDrawMatchesTheDiscreteDistribution) {
+  const uint64_t n = 1000;
+  const int64_t draws = 200000;
+  workload::ZipfGenerator gen(n, 0.99);
+  Rng rng(7);
+  std::vector<int64_t> counts(n, 0);
+  for (int64_t i = 0; i < draws; ++i) {
+    uint64_t k = gen.Next(rng);
+    ASSERT_LT(k, n);
+    ++counts[k];
+  }
+  // Rank 0 frequency within 15% of the exact P(0) (sampling noise at 200k
+  // draws is well under 1%).
+  const double p0 = gen.ProbabilityOfRank(0);
+  const double f0 = static_cast<double>(counts[0]) / draws;
+  EXPECT_GT(f0, 0.85 * p0);
+  EXPECT_LT(f0, 1.15 * p0);
+  // The head carries the mass: at theta 0.99 the ten hottest of 1000 keys
+  // draw over 30% of accesses (uniform would give them 1%).
+  int64_t top10 = 0;
+  for (int k = 0; k < 10; ++k) top10 += counts[k];
+  EXPECT_GT(static_cast<double>(top10) / draws, 0.30);
+  // Monotone head: rank 0 beats deep ranks decisively.
+  EXPECT_GT(counts[0], 2 * counts[50]);
 }
 
 }  // namespace
